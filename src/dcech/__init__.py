@@ -37,8 +37,6 @@ from .core import (
     as_simplex,
     ball,
     common_ball,
-    complex_at,
-    critical_grid,
     grid_with_midpoints,
     offset,
     pointwise_max,
@@ -49,7 +47,6 @@ from .errors import (
     AsymmetryError,
     CoordMismatch,
     DcechError,
-    DegenerateConfiguration,
     DifferentSpaces,
     DimensionMismatch,
     DowkerConditionViolation,
@@ -79,6 +76,7 @@ from .homology import (
     betti,
     betti_table,
     bottleneck_distance,
+    diagonal_barcode,
     inclusion_induces_iso,
     slice_persistence,
 )
@@ -128,7 +126,6 @@ from .verify import (
     DEFAULT_TRIALS,
     SUITES,
     SuiteResult,
-    diagonal_barcode,
     rectangle_betti,
     run_all,
     run_suite,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .builders import ambient_dc_finite, intrinsic_dc
 from .core import BifilteredComplex, DiscreteMeasure, FiniteMetricSpace, MonotonePath
 from .errors import DcechError, DifferentSpaces, ParseError, SupportTooLarge
-from .homology import betti_table, slice_persistence
+from .homology import betti_table, diagonal_barcode, slice_persistence
 from .io import (
     format_barcode,
     load_matrix_csv,
@@ -36,7 +36,7 @@ from .io import (
 )
 from .metrics import prohorov_check, prohorov_distance
 from .planar import ambient_dc_planar
-from .verify import SUITES, diagonal_barcode, run_all, run_suite
+from .verify import SUITES, run_all, run_suite
 
 __all__ = [
     "RunConfig",
@@ -205,6 +205,8 @@ def cmd_slice(config: RunConfig, path_spec: str) -> int:
 
 
 def cmd_verify(config: RunConfig, suite: str) -> int:
+    if config.trials is not None and config.trials < 1:
+        raise DcechError(f"--trials must be >= 1, got {config.trials}")
     if suite == "all":
         results = run_all(config.seed, config.trials)
     else:
@@ -260,7 +262,6 @@ def cmd_prohorov(file0: str, file1: str, check: float | None = None) -> int:
 
 def cmd_export_firep(config: RunConfig) -> int:
     K = _resolve_complex(config)
-    K.validate()
     path = os.path.join(_outdir(config), f"firep_d{config.dim}.txt")
     n_top, n_face = write_firep(K, config.dim, path)
     print(f"wrote {path}: {n_top} generators in dim {config.dim}, "

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -50,8 +51,6 @@ __all__ = [
     "ball",
     "common_ball",
     "offset",
-    "complex_at",
-    "critical_grid",
     "grid_with_midpoints",
 ]
 
@@ -449,7 +448,7 @@ class Staircase:
         """Value at radius r, or None if the simplex is absent there."""
         if r < self.steps[0][0]:
             return None
-        idx = bisect_right([s[0] for s in self.steps], r) - 1
+        idx = bisect_right(self.steps, r, key=itemgetter(0)) - 1
         return self.steps[idx][1]
 
     def present(self, m: float, r: float) -> bool:
@@ -531,20 +530,23 @@ class BifilteredComplex:
         uni = set(self.universe)
         for sigma, st in self.entries.items():
             if not uni.issuperset(sigma):
-                raise InvalidComplex(f"simplex {sigma} leaves the universe")
+                raise InvalidComplex(f"simplex {sigma} leaves the universe", sigma)
             if len(sigma) - 1 > self.dim_cap:
-                raise InvalidComplex(f"simplex {sigma} exceeds dim_cap {self.dim_cap}")
+                raise InvalidComplex(
+                    f"simplex {sigma} exceeds dim_cap {self.dim_cap}", sigma
+                )
             if len(sigma) == 1:
                 continue
             for face in combinations(sigma, len(sigma) - 1):
                 fst = self.entries.get(face)
                 if fst is None:
-                    raise InvalidComplex(f"face {face} of {sigma} has no entry")
+                    raise InvalidComplex(f"face {face} of {sigma} has no entry", sigma)
                 for r, m in st.steps:
                     fv = fst.value(r)
                     if fv is None or fv < m:
                         raise InvalidComplex(
-                            f"face {face} value {fv} below {m} of {sigma} at r={r}"
+                            f"face {face} value {fv} below {m} of {sigma} at r={r}",
+                            sigma,
                         )
 
     def restrict_r_grid(self, r_grid: Sequence[float]) -> "BifilteredComplex":
@@ -556,14 +558,6 @@ class BifilteredComplex:
             if resampled is not None:
                 out[sigma] = resampled
         return BifilteredComplex(self.universe, out, self.dim_cap)
-
-
-def complex_at(K: BifilteredComplex, m: float, r: float) -> SimplicialComplex:
-    return K.complex_at(m, r)
-
-
-def critical_grid(K: BifilteredComplex) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    return K.critical_grid()
 
 
 def grid_with_midpoints(values: Sequence[float]) -> tuple[float, ...]:

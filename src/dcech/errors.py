@@ -25,7 +25,6 @@ __all__ = [
     "InvalidComplex",
     "InvalidStaircase",
     "MissingCoordinates",
-    "DegenerateConfiguration",
     "NonMonotonePath",
     "NotAnInclusion",
     "UnsupportedDimension",
@@ -98,7 +97,14 @@ class DowkerConditionViolation(DcechError, ValueError):
 
 
 class InvalidComplex(DcechError, ValueError):
-    """A simplex set is not downward closed or not over the universe."""
+    """A simplex set is not downward closed or not over the universe.
+
+    ``simplex`` names the offending simplex when one is known.
+    """
+
+    def __init__(self, reason: str, simplex: tuple[int, ...] | None = None) -> None:
+        self.simplex = simplex
+        super().__init__(reason)
 
 
 class InvalidStaircase(DcechError, ValueError):
@@ -107,15 +113,6 @@ class InvalidStaircase(DcechError, ValueError):
 
 class MissingCoordinates(DcechError, ValueError):
     """A planar construction was asked of a space without coordinates."""
-
-
-class DegenerateConfiguration(DcechError):
-    """Planar input too degenerate for the requested construction.
-
-    The exact envelope construction tolerates cocircular points, so this is
-    currently unused by the builders; it is kept as a stable name for callers
-    that want to handle geometric degeneracy uniformly.
-    """
 
 
 class NonMonotonePath(DcechError, ValueError):

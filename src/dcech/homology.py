@@ -9,9 +9,10 @@ exact: no floating tolerance enters the algebra, only the input staircases.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     BifilteredComplex,
@@ -29,6 +30,7 @@ __all__ = [
     "betti",
     "betti_table",
     "slice_persistence",
+    "diagonal_barcode",
     "bottleneck_distance",
     "inclusion_induces_iso",
 ]
@@ -109,7 +111,8 @@ def betti_table(
     r_grid: Sequence[float] | None = None,
     max_degree: int | None = None,
 ) -> BettiTable:
-    """Evaluate Betti vectors over a grid; defaults to criticals + midpoints."""
+    """Betti vectors over a grid (default: criticals + midpoints): one
+    reduction per m-row, each cell counting the bars alive at its radius."""
     crit_r, crit_m = K.critical_grid()
     if m_grid is None:
         m_grid = grid_with_midpoints(crit_m)
@@ -117,25 +120,26 @@ def betti_table(
         r_grid = grid_with_midpoints(crit_r)
     if max_degree is None:
         max_degree = max(K.dim_cap - 1, 0)
-    cache: dict[frozenset[Simplex], BettiVector] = {}
+    ms = tuple(float(m) for m in m_grid)
+    rs = tuple(float(r) for r in r_grid)
+    if ms and rs and max_degree < 0:
+        raise UnsupportedDimension(f"max_degree must be >= 0, got {max_degree}")
+    # nan goes last: Staircase.present treats it as an infinite radius
+    steps = sorted(set(rs), key=lambda r: (r != r, r))
     rows: list[tuple[BettiVector, ...]] = []
-    for m in m_grid:
-        row: list[BettiVector] = []
-        for r in r_grid:
-            cx = K.complex_at(m, r)
-            key = cx.simplices
-            got = cache.get(key)
-            if got is None:
-                got = betti(cx, max_degree)
-                cache[key] = got
-            row.append(got)
-        rows.append(tuple(row))
-    return BettiTable(
-        tuple(float(m) for m in m_grid),
-        tuple(float(r) for r in r_grid),
-        max_degree,
-        tuple(rows),
-    )
+    for m in ms:
+        entered = [(j, len(s), s) for j, s in _entry_steps(K, [m] * len(steps), steps)]
+        bars = _persistence_pairs(entered, max_degree)
+        ends = [
+            ([b for b, _ in bars.degree(k)], sorted(d for _, d in bars.degree(k)))
+            for k in range(max_degree + 1)
+        ]
+        at = {
+            r: tuple(bisect_right(born, j) - bisect_right(dead, j) for born, dead in ends)
+            for j, r in enumerate(steps)
+        }
+        rows.append(tuple(at[r] for r in rs))
+    return BettiTable(ms, rs, max_degree, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -160,15 +164,16 @@ class Barcode:
 
 
 def _persistence_pairs(
-    ordered: Sequence[Simplex],
-    births: Sequence[float],
-    max_degree: int,
+    entered: list[tuple[float, int, Simplex]], max_degree: int
 ) -> Barcode:
-    """Standard column reduction over a filtration order.
+    """Standard column reduction of (birth, size, simplex) triples.
 
-    ``ordered`` must list faces before cofaces; births are the entry times.
-    Bars of length zero are dropped; unpaired creators get death = inf.
+    Sorted, the triples put each face before its cofaces. Bars of length
+    zero are dropped; unpaired creators get death = inf.
     """
+    entered.sort()
+    ordered = [s for _, _, s in entered]
+    births = [b for b, _, _ in entered]
     index = {s: i for i, s in enumerate(ordered)}
     low_to_col: dict[int, int] = {}
     creators: set[int] = set()
@@ -207,6 +212,25 @@ def _persistence_pairs(
     return Barcode({k: tuple(v) for k, v in bars.items()})
 
 
+def _entry_steps(
+    K: BifilteredComplex, ms: Sequence[float], rs: Sequence[float]
+) -> Iterator[tuple[int, Simplex]]:
+    """(first step, simplex) for each simplex entering a path with
+    nonincreasing ms and nondecreasing rs. A corner (r_k, v_k) admits the
+    steps where ``not rs[i] < r_k`` and ``v_k >= ms[i]``, as in
+    Staircase.present: the later of two suffixes of the path."""
+    n = len(rs)
+    for sigma, stair in K.entries.items():
+        first = n
+        for r, v in stair.steps:
+            r_start = bisect_left(rs, r)
+            if r_start >= first:
+                break  # later corners start later in r
+            first = min(first, max(r_start, bisect_left(ms, True, key=v.__ge__)))
+        if first < n:
+            yield first, sigma
+
+
 def slice_persistence(
     K: BifilteredComplex, path: MonotonePath, max_degree: int | None = None
 ) -> Barcode:
@@ -217,17 +241,26 @@ def slice_persistence(
     """
     if max_degree is None:
         max_degree = max(K.dim_cap - 1, 0)
-    steps = list(zip(path.points, path.times))
-    entered: list[tuple[float, int, Simplex]] = []
+    ms, rs = zip(*path.points)
+    entered = [(path.times[i], len(s), s) for i, s in _entry_steps(K, ms, rs)]
+    return _persistence_pairs(entered, max_degree)
+
+
+def diagonal_barcode(
+    K: BifilteredComplex, m0: float, r0: float, max_degree: int
+) -> Barcode:
+    """Exact barcode along the slice t -> (m0 - t, r0 + t), t >= 0.
+
+    Entry thresholds are computed per staircase corner in closed form, so
+    bar endpoints are exact rather than snapped to a sample grid.
+    """
+    items: list[tuple[float, int, Simplex]] = []
     for sigma, stair in K.entries.items():
-        for (m, r), t in steps:
-            if stair.present(m, r):
-                entered.append((t, len(sigma), sigma))
-                break
-    entered.sort()
-    ordered = [s for _, _, s in entered]
-    births = [t for t, _, _ in entered]
-    return _persistence_pairs(ordered, births, max_degree)
+        t = math.inf
+        for r_step, v_step in stair.steps:
+            t = min(t, max(r_step - r0, m0 - v_step))
+        items.append((max(t, 0.0), len(sigma), sigma))
+    return _persistence_pairs(items, max_degree)
 
 
 def inclusion_induces_iso(
@@ -246,10 +279,7 @@ def inclusion_induces_iso(
         (0.0 if s in sub.simplices else 1.0, len(s), s)
         for s in full.sorted_simplices()
     ]
-    tagged.sort()
-    ordered = [s for _, _, s in tagged]
-    births = [b for b, _, _ in tagged]
-    bars = _persistence_pairs(ordered, births, max_degree)
+    bars = _persistence_pairs(tagged, max_degree)
     out = []
     for k in range(max_degree + 1):
         ok = True

@@ -1,8 +1,8 @@
 """File formats: CSV ingestion, staircase tables, Betti CSV/SVG, firep-style.
 
 All writers are deterministic (sorted iteration, repr floats) and atomic
-(write to a sibling temp file, then rename), so identical inputs give
-byte-identical outputs.
+(write to a unique sibling temp file, then rename), so identical inputs give
+byte-identical outputs. Staircase tables are validated when read.
 
 Staircase table format (one bifiltration per file):
 
@@ -44,7 +44,7 @@ from .core import (
     Simplex,
     Staircase,
 )
-from .errors import ParseError, UnsupportedDimension
+from .errors import InvalidComplex, ParseError, UnsupportedDimension
 from .homology import BettiTable
 
 __all__ = [
@@ -60,10 +60,17 @@ __all__ = [
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write a temporary file of this call's own beside ``path``, then rename
+    it over ``path``; concurrent writers of one path never share one. Unlike
+    tempfile.mkstemp's private files, it gets the mode open() gives."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +167,27 @@ def write_staircase_table(K: BifilteredComplex, path: str) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _table_row(line: str) -> tuple[Simplex, Staircase]:
+    if "\t" not in line:
+        raise ValueError("expected '<vertices>\\t<steps>'")
+    head, tail = line.split("\t", 1)
+    sigma = tuple(int(v) for v in head.split())
+    if not sigma or any(a >= b for a, b in zip(sigma, sigma[1:])):
+        raise ValueError(f"expected strictly increasing vertex ids, got {head!r}")
+    steps = []
+    for token in tail.split():
+        r_text, m_text = token.split(":")
+        steps.append((float(r_text), float(m_text)))
+    return sigma, Staircase(tuple(steps))
+
+
 def read_staircase_table(path: str) -> BifilteredComplex:
+    """Read a staircase table and validate it as a bifiltration.
+
+    Every defect (bad syntax, a repeated or unsorted simplex, a face that is
+    missing or below its coface, a simplex outside the universe or above
+    dim_cap) is a ParseError naming the offending line.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "# staircase-table v1":
@@ -168,35 +195,32 @@ def read_staircase_table(path: str) -> BifilteredComplex:
     universe: tuple[int, ...] | None = None
     dim_cap: int | None = None
     entries: dict[Simplex, Staircase] = {}
+    line_of: dict[Simplex, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("# universe:"):
-            rest = line.split(":", 1)[1].split()
-            universe = tuple(int(v) for v in rest)
-            continue
-        if line.startswith("# dim_cap:"):
-            dim_cap = int(line.split(":", 1)[1])
-            continue
-        if line.startswith("#"):
-            continue
-        if "\t" not in line:
-            raise ParseError(path, lineno, "expected '<vertices>\\t<steps>'")
-        head, tail = line.split("\t", 1)
+        key, _, rest = line.partition(":")
         try:
-            sigma = tuple(int(v) for v in head.split())
-            steps = []
-            for token in tail.split():
-                r_text, m_text = token.split(":")
-                steps.append((float(r_text), float(m_text)))
+            if key == "# universe":
+                universe = tuple(int(v) for v in rest.split())
+            elif key == "# dim_cap":
+                dim_cap = int(rest)
+            elif line.strip() and not line.startswith("#"):
+                sigma, stair = _table_row(line)
+                if sigma in line_of:
+                    raise ValueError(
+                        f"duplicate row for {sigma}, first at line {line_of[sigma]}"
+                    )
+                entries[sigma] = stair
+                line_of[sigma] = lineno
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from exc
-        if not steps:
-            raise ParseError(path, lineno, "simplex with no steps")
-        entries[sigma] = Staircase(tuple(steps))
     if universe is None or dim_cap is None:
         raise ParseError(path, 1, "missing universe or dim_cap header")
-    return BifilteredComplex(universe, entries, dim_cap)
+    K = BifilteredComplex(universe, entries, dim_cap)
+    try:
+        K.validate()
+    except InvalidComplex as exc:
+        raise ParseError(path, line_of[exc.simplex], str(exc)) from exc
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -168,14 +168,16 @@ def prohorov_check(
         off = _offset_masks(d, ts[idx], k) if idx >= 0 else np.zeros(
             1 << k, dtype=np.int64
         )
-    slack0 = m1[off] + eps - m0
-    slack1 = m0[off] + eps - m1
-    slack = np.minimum(slack0, slack1)
-    b = int(slack.argmin())
-    worst = float(slack[b])
-    direction = 0 if slack0[b] <= slack1[b] else 1
+    # the deficits of prohorov_distance, rounded the same way, so the check
+    # passes exactly when that distance is at most eps
+    deficit0 = m0 - m1[off]
+    deficit1 = m1 - m0[off]
+    deficit = np.maximum(deficit0, deficit1)
+    b = int(deficit.argmax())
+    direction = 0 if deficit0[b] >= deficit1[b] else 1
     witness = frozenset(union[j] for j in range(k) if b >> j & 1)
-    return ProhorovCheck(worst >= 0.0, worst, witness, direction)
+    worst = float(deficit[b])
+    return ProhorovCheck(worst <= eps, eps - worst, witness, direction)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,11 @@ from .core import (
     SimplicialComplex,
 )
 from .homology import (
-    Barcode,
     BettiVector,
-    _persistence_pairs,
     betti,
+    betti_table,
     bottleneck_distance,
+    diagonal_barcode,
     inclusion_induces_iso,
 )
 from .instances import (
@@ -83,7 +83,6 @@ __all__ = [
     "SUITES",
     "run_suite",
     "run_all",
-    "diagonal_barcode",
     "rectangle_betti",
 ]
 
@@ -238,26 +237,6 @@ def rectangle_betti(
     return cache.get(direct, max_degree)
 
 
-def diagonal_barcode(
-    K: BifilteredComplex, m0: float, r0: float, max_degree: int
-) -> Barcode:
-    """Exact barcode along the slice t -> (m0 - t, r0 + t), t >= 0.
-
-    Entry thresholds are computed per staircase corner in closed form, so
-    bar endpoints are exact rather than snapped to a sample grid.
-    """
-    items: list[tuple[float, int, Simplex]] = []
-    for sigma, stair in K.entries.items():
-        t = math.inf
-        for r_step, v_step in stair.steps:
-            t = min(t, max(r_step - r0, m0 - v_step))
-        items.append((max(t, 0.0), len(sigma), sigma))
-    items.sort()
-    ordered = [s for _, _, s in items]
-    births = [t for t, _, _ in items]
-    return _persistence_pairs(ordered, births, max_degree)
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -394,10 +373,11 @@ def run_nerve(seed: int, trials: int = 50) -> SuiteResult:
         K = ambient_dc_finite(space, mu, 3)
         ms = _positive_m_grid(K)
         rs = _r_grid(K)
-        for r in rs:
-            for m in ms:
+        table = betti_table(K, ms, rs, 2)
+        for j, r in enumerate(rs):
+            for i, m in enumerate(ms):
                 checked += 1
-                b_dc = cache.get(K.complex_at(m, r), 2)
+                b_dc = table.at(i, j)
                 b_nerve = cache.get(cover_nerve(space, mu, m, r, 3), 2)
                 if b_dc != b_nerve:
                     _record(

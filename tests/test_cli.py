@@ -7,6 +7,7 @@ verification suite or epsilon check fails, 2 on usage or data errors.
 
 from __future__ import annotations
 
+import math
 import os
 import xml.etree.ElementTree as ET
 
@@ -190,6 +191,48 @@ class TestSlice:
         assert "expected 'diag m0,r0'" in stderr
 
 
+TABLE_HEAD = "# staircase-table v1\n# universe: 0 1 2\n# dim_cap: 1\n"
+
+# each defective table with the line and message its read must report
+BAD_TABLES = {
+    "missing face": (
+        TABLE_HEAD + "0\t0.0:1.0\n0 1\t1.0:1.0\n",
+        5, "face (1,) of (0, 1) has no entry",
+    ),
+    "face below coface": (
+        TABLE_HEAD + "0\t0.0:1.0\n1\t0.0:1.0\n0 1\t1.0:2.0\n",
+        6, "face (0,) value 1.0 below 2.0 of (0, 1) at r=1.0",
+    ),
+    "duplicate row": (
+        TABLE_HEAD + "0\t0.0:1.0\n1\t0.0:1.0\n0\t0.0:2.0\n",
+        6, "duplicate row for (0,), first at line 4",
+    ),
+    "above dim_cap": (
+        TABLE_HEAD + "".join(
+            f"{s}\t0.0:1.0\n" for s in ("0", "1", "2", "0 1", "0 2", "1 2", "0 1 2")
+        ),
+        10, "simplex (0, 1, 2) exceeds dim_cap 1",
+    ),
+}
+
+
+class TestBadArtifact:
+    @pytest.mark.parametrize("defect", sorted(BAD_TABLES))
+    @pytest.mark.parametrize(
+        "argv", [["hilbert"], ["slice", "m=1"], ["slice", "diag 2,0"]],
+        ids=["hilbert", "slice-m", "slice-diag"],
+    )
+    def test_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys, defect, argv):
+        monkeypatch.chdir(tmp_path)
+        text, line, reason = BAD_TABLES[defect]
+        table = tmp_path / "bad.txt"
+        table.write_text(text)
+        code, stdout, stderr = run(capsys, argv + ["--artifact", str(table)])
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: {table}:{line}: {reason}\n"
+
+
 class TestVerify:
     def test_passing_suite_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, ["verify", "sandwich", "--trials", "2"])
@@ -221,6 +264,13 @@ class TestVerify:
         code, _, _ = run(capsys, ["verify", "bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_an_error(self, capsys, trials):
+        code, stdout, stderr = run(capsys, ["verify", "sandwich", "--trials", trials])
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: --trials must be >= 1, got {trials}\n"
+
 
 class TestProhorov:
     def write_pair(self, tmp_path):
@@ -248,6 +298,23 @@ class TestProhorov:
         assert code == 1
         assert stdout.startswith("fail: eps 0.1 slack ")
         assert "witness [" in stdout
+
+    def test_check_decides_like_the_distance(self, tmp_path, capsys):
+        # the distance is a mass difference, 0.75 - 0.5; one float below it
+        # the check must fail even though adding eps back rounds to 0.75
+        f0 = tmp_path / "mu0.csv"
+        f1 = tmp_path / "mu1.csv"
+        f0.write_text("x,y,w\n0,0,0.75\n5,0,0.25\n")
+        f1.write_text("x,y,w\n0,0,0.5\n5,0,0.5\n")
+        code, stdout, _ = run(capsys, ["prohorov", str(f0), str(f1)])
+        assert (code, stdout) == (0, "0.25\n")
+        code, stdout, _ = run(capsys, ["prohorov", str(f0), str(f1), "--check", "0.25"])
+        assert code == 0
+        assert stdout == "pass: eps 0.25 slack 0.0 witness [0]\n"
+        below = repr(math.nextafter(0.25, 0.0))
+        code, stdout, _ = run(capsys, ["prohorov", str(f0), str(f1), "--check", below])
+        assert code == 1
+        assert stdout.startswith(f"fail: eps {below} slack -")
 
     def test_different_points_is_an_error(self, tmp_path, capsys):
         f0, _ = self.write_pair(tmp_path)

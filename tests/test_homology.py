@@ -13,16 +13,20 @@ import pytest
 
 from dcech import (
     Barcode,
+    BifilteredComplex,
     DiscreteMeasure,
     FiniteMetricSpace,
     MonotonePath,
     NotAnInclusion,
     SimplicialComplex,
     UnsupportedDimension,
+    ambient_dc_finite,
+    ambient_dc_planar,
     betti,
     betti_table,
     bottleneck_distance,
     diagonal_barcode,
+    grid_with_midpoints,
     inclusion_induces_iso,
     intrinsic_dc,
     slice_persistence,
@@ -110,6 +114,67 @@ class TestBettiTable:
         assert table.at(0, 2) == (1,)
 
 
+def seeded_complexes():
+    """Intrinsic, ambient-finite and planar bifiltrations of a hexagon and
+    of small weighted clouds, some with zero-weight points."""
+    hexagon = FiniteMetricSpace.from_points(
+        [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+    )
+    out = [
+        build(hexagon, DiscreteMeasure.counting(6), 3)
+        for build in (intrinsic_dc, ambient_dc_finite, ambient_dc_planar)
+    ]
+    for seed in range(4):
+        rng = random.Random(seed)
+        n = rng.randint(7, 9)
+        pts = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(n)]
+        space = FiniteMetricSpace.from_points(pts)
+        mu = DiscreteMeasure(
+            tuple(float(rng.randint(0 if i else 1, 3)) for i in range(n))
+        )
+        out.append(intrinsic_dc(space, mu, 2 + seed % 2))
+        out.append(ambient_dc_finite(space, mu, 2 + seed % 2))
+        out.append(ambient_dc_planar(space, DiscreteMeasure.counting(n), 2))
+    return out
+
+
+SEEDED = seeded_complexes()
+
+
+class TestBettiTableCells:
+    """betti_table reduces once per m-row; each cell must still equal the
+    Betti vector of the slice at that cell."""
+
+    @pytest.mark.parametrize("K", SEEDED)
+    def test_matches_each_slice(self, K):
+        rs, ms = K.critical_grid()
+        rng = random.Random(len(K.entries))
+        # unsorted, repeated, -inf, above every value, between corners
+        explicit_m = [ms[-1], -math.inf, ms[0], ms[0], rng.uniform(ms[0], ms[-1]),
+                      ms[-1] + 1.0]
+        explicit_r = [rs[-1], 0.0, rs[len(rs) // 2], rs[len(rs) // 2],
+                      rng.uniform(0.0, rs[-1]), math.inf]
+        for m_grid, r_grid, d in (
+            (None, None, 2),
+            (explicit_m, explicit_r, 1),
+            (explicit_m, sorted(explicit_r) + [rs[1]], 2),
+        ):
+            table = betti_table(K, m_grid, r_grid, d)
+            want_m = grid_with_midpoints(ms) if m_grid is None else m_grid
+            want_r = grid_with_midpoints(rs) if r_grid is None else r_grid
+            assert table.m_grid == tuple(want_m)
+            assert table.r_grid == tuple(want_r)
+            for i, m in enumerate(want_m):
+                for j, r in enumerate(want_r):
+                    assert table.at(i, j) == betti(K.complex_at(m, r), d), (m, r)
+
+    def test_negative_degree_only_with_cells(self):
+        K = SEEDED[0]
+        with pytest.raises(UnsupportedDimension):
+            betti_table(K, [1.0], [0.0], -1)
+        assert betti_table(K, [], [0.0, 1.0], -1).values == ()
+
+
 class TestSlicePersistence:
     def test_l3_constant_mass_slice(self):
         space = FiniteMetricSpace.from_points([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
@@ -146,6 +211,52 @@ class TestSlicePersistence:
             bv = betti(K.complex_at(1.0, r), 2)
             for k in range(3):
                 assert bars_alive(bars.degree(k), r) == bv[k], (k, r)
+
+
+class TestSliceBetweenCorners:
+    """Paths whose steps fall strictly between staircase corners: at every
+    step the bars alive equal the Betti vector of the slice there."""
+
+    @staticmethod
+    def midpoints(values):
+        return [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+
+    def check(self, K, path):
+        bars = slice_persistence(K, path, 2)
+        for (m, r), t in zip(path.points, path.times):
+            want = betti(K.complex_at(m, r), 2)
+            assert tuple(bars_alive(bars.degree(k), t) for k in range(3)) == want, (m, r)
+        ends = {e for k in bars.degrees() for bar in bars.degree(k) for e in bar}
+        assert ends <= set(path.times) | {math.inf}
+
+    @pytest.mark.parametrize("K", SEEDED)
+    def test_constant_m(self, K):
+        rs, ms = K.critical_grid()
+        for m in self.midpoints(ms) + [ms[0], -math.inf]:
+            self.check(K, MonotonePath.at_constant_m(m, self.midpoints(rs)))
+
+    @pytest.mark.parametrize("K", SEEDED)
+    def test_diagonal(self, K):
+        rs, ms = K.critical_grid()
+        ts = self.midpoints(sorted(set(rs) | {r + 0.5 for r in rs}))
+        for m0 in (ms[-1], self.midpoints(ms)[0] + 1.0):
+            self.check(K, MonotonePath.diagonal(m0, 0.0, ts))
+
+
+class TestNoPerCellSlicing:
+    def test_kernel_builds_no_complex(self, monkeypatch):
+        K = SEEDED[4]
+        rs, ms = K.critical_grid()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sliced a complex")
+
+        monkeypatch.setattr(BifilteredComplex, "complex_at", forbidden)
+        monkeypatch.setattr(SimplicialComplex, "__init__", forbidden)
+        assert len(betti_table(K).values) == len(grid_with_midpoints(ms))
+        slice_persistence(K, MonotonePath.at_constant_m(ms[0], rs))
+        slice_persistence(K, MonotonePath.diagonal(ms[-1], 0.0, rs))
+        diagonal_barcode(K, ms[-1], 0.0, 2)
 
 
 class TestDiagonalBarcode:

@@ -173,6 +173,38 @@ class TestStaircaseTable:
         with pytest.raises(ParseError):
             read_staircase_table(str(missing_headers))
 
+    @pytest.mark.parametrize(
+        "body, line, reason",
+        [
+            ("# universe: 0 x\n# dim_cap: 1\n", 2, "invalid literal"),
+            ("# universe: 0 1\n# dim_cap: one\n", 3, "invalid literal"),
+            ("# universe: 0 1\n# dim_cap: 1\n1 0\t0.0:1.0\n", 4,
+             "expected strictly increasing vertex ids, got '1 0'"),
+            ("# universe: 0 1\n# dim_cap: 1\n0 0\t0.0:1.0\n", 4,
+             "expected strictly increasing vertex ids"),
+            ("# universe: 0 1\n# dim_cap: 1\n0\t1.0:1.0 0.5:2.0\n", 4,
+             "steps must increase strictly"),
+            ("# universe: 0\n# dim_cap: 1\n0\t0.0:1.0\n1\t0.0:1.0\n", 5,
+             "simplex (1,) leaves the universe"),
+        ],
+    )
+    def test_invalid_tables_name_the_line(self, tmp_path, body, line, reason):
+        path = tmp_path / "bad.tsv"
+        path.write_text("# staircase-table v1\n" + body)
+        with pytest.raises(ParseError) as exc:
+            read_staircase_table(str(path))
+        assert exc.value.line == line
+        assert reason in str(exc.value)
+
+    def test_write_ignores_a_stale_temporary(self, l3_complex, tmp_path):
+        # a writer that died, or one running beside this one, may hold
+        # <path>.tmp; every write uses a temporary of its own
+        p = tmp_path / "K.tsv"
+        (tmp_path / "K.tsv.tmp").mkdir()
+        write_staircase_table(l3_complex, str(p))
+        assert p.read_text() == self.EXPECTED
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["K.tsv", "K.tsv.tmp"]
+
 
 class TestBettiOutputs:
     def test_csv_exact(self, l3_complex, tmp_path):

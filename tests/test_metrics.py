@@ -113,6 +113,29 @@ class TestProhorovCheck:
         space, d0, d1 = dirac_pair
         assert not prohorov_check(space, d0, d1, -0.5).ok
 
+    def test_decides_like_the_distance(self):
+        # pinned: the distance 0.75 - 0.5 is a mass difference, and adding
+        # eps back to 0.5 would round the missing ulp below 0.25 away
+        space = FiniteMetricSpace.from_points([(0.0, 0.0), (5.0, 0.0)])
+        cases = [(space, DiscreteMeasure((0.75, 0.25)), DiscreteMeasure((0.5, 0.5)))]
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            space = FiniteMetricSpace.from_points(
+                [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(n)]
+            )
+            weights = [[rng.randint(0, 5) / 7.0 for _ in range(n)] for _ in range(2)]
+            for w in weights:
+                w[0] += 0.1
+            cases.append((space, *(DiscreteMeasure(tuple(w)) for w in weights)))
+        for space, mu0, mu1 in cases:
+            dist = prohorov_distance(space, mu0, mu1)
+            at = prohorov_check(space, mu0, mu1, dist)
+            assert at.ok and at.worst_slack >= 0.0
+            below = prohorov_check(space, mu0, mu1, math.nextafter(dist, -math.inf))
+            assert not below.ok and below.worst_slack < 0.0
+        assert prohorov_check(*cases[0], 0.25).worst_slack == 0.0
+
 
 class TestPushforward:
     def test_weights_add(self):
