@@ -16,9 +16,7 @@ from .builders import (
     TableBifiltration,
     ambient_dc_finite,
     cover_nerve,
-    degree_bifiltration,
     dowker_dual,
-    dtm_bifiltration,
     intrinsic_dc,
     measure_bifiltration_points,
     measure_dowker_reindex,

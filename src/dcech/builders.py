@@ -16,8 +16,8 @@ every witness in it is heavy and their balls share a point. The nerve of f
 is only a subcomplex of that nerve (it asks the common ball itself to carry
 mass m), so the nerve of f and the dual can differ in homology.
 
-Ball memberships are cached as int bitmasks per sorted breakpoint level, so
-repeated evaluation during verification stays cheap.
+Ball memberships are cached as int bitmasks per sorted breakpoint level for
+f.value; the dual reads Lambda directly, as an upper envelope over witnesses.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ __all__ = [
     "DistanceToMeasureBifiltration",
     "TableBifiltration",
     "DowkerBifiltrationPair",
-    "degree_bifiltration",
-    "dtm_bifiltration",
     "nerve_bifiltration",
     "dowker_dual",
     "intrinsic_dc",
@@ -69,6 +67,8 @@ __all__ = [
     "restrict_to_support",
     "measure_dowker_reindex",
 ]
+
+_DUAL_BLOCK_ELEMENTS = 1 << 15  # simplices x radii x witnesses per dual block
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -321,18 +321,6 @@ class TableBifiltration(SetBifiltration):
         return self._grid
 
 
-def degree_bifiltration(
-    dowker: DowkerDissimilarity, measure: DiscreteMeasure
-) -> DegreeBifiltration:
-    return DegreeBifiltration(dowker, measure)
-
-
-def dtm_bifiltration(
-    dowker: DowkerDissimilarity, measure: DiscreteMeasure, p: float
-) -> DistanceToMeasureBifiltration:
-    return DistanceToMeasureBifiltration(dowker, measure, p)
-
-
 @dataclass(frozen=True, eq=False)
 class DowkerBifiltrationPair:
     """A dissimilarity together with a compatible set bifiltration.
@@ -402,12 +390,14 @@ def dowker_dual(
     """Dual complex on Y: tau enters at (m, r) when some witness x satisfies
     f({x}, r) >= m and tau lies in the Lambda-ball of x at radius r.
 
-    The staircase value of tau at r is the best witness value; tau is absent
-    until some ball contains it. Each slice is the Dowker complex of the
-    relation Lambda <= r on the heavy witnesses, so it is homotopy equivalent
-    to the degree Cech nerve (heavy witnesses whose balls share a point), not
-    to the slice of ``nerve_bifiltration(f)``. Restricting Y to a subset on
-    both sides commutes with that equivalence (functorial Dowker theorem).
+    tau's staircase is the upper envelope of the offers f({x}, r), each made
+    from r = max over y in tau of Lambda(x, y) on; its corners are the first
+    offer and each strict rise, witness values bitwise. Each slice is the
+    Dowker complex of the relation Lambda <= r on the heavy witnesses, so it
+    is homotopy equivalent to the degree Cech nerve (heavy witnesses whose
+    balls share a point), not to the slice of ``nerve_bifiltration(f)``.
+    Restricting Y to a subset on both sides commutes with that equivalence
+    (functorial Dowker theorem).
     """
     if f.universe_size != dowker.nx:
         raise DimensionMismatch("f universe does not match the witness set")
@@ -417,29 +407,26 @@ def dowker_dual(
         raise DimensionMismatch("y_ids do not match the dual universe size")
     if ny > 20:
         warnings.warn(f"materializing a dual over {ny} vertices", stacklevel=2)
-    rs = sorted(set((0.0,) + dowker.r_values() + tuple(f.r_breakpoints())))
-    per_r: list[tuple[list[int], list[float]]] = []
-    for r in rs:
-        masks = [dowker.ball_mask(x, r) for x in range(dowker.nx)]
-        vals = [f.value((x,), r) for x in range(dowker.nx)]
-        per_r.append((masks, vals))
+    nx = dowker.nx
+    if nx == 0:  # no witness, so no simplex ever enters
+        return BifilteredComplex(ids, {}, dim_cap)
+    rs = np.array(sorted(set((0.0,) + dowker.r_values() + tuple(f.r_breakpoints()))))
+    values = np.array([[f.value((x,), r) for x in range(nx)] for r in rs.tolist()])
     entries: dict[Simplex, Staircase] = {}
     for size in range(1, min(dim_cap + 2, ny + 1)):
-        for tau in combinations(range(ny), size):
-            tmask = _mask_of(tau)
-            samples: list[float | None] = []
-            for masks, vals in per_r:
-                best: float | None = None
-                for x in range(dowker.nx):
-                    if tmask & ~masks[x]:
-                        continue
-                    v = vals[x]
-                    if best is None or v > best:
-                        best = v
-                samples.append(best)
-            stair = Staircase.from_samples(rs, samples)
-            if stair is not None:
-                entries[tuple(ids[i] for i in tau)] = stair
+        taus = np.array(list(combinations(range(ny), size)))
+        blocks = math.ceil(len(taus) * values.size / _DUAL_BLOCK_ELEMENTS)
+        for tau_block in np.array_split(taus, blocks):
+            enter = dowker.matrix[:, tau_block].max(axis=2).T
+            offer = np.where(enter[:, None, :] <= rs[:, None], values, -np.inf)
+            # argmax takes the first witness among equal offers (-0.0 and 0.0)
+            best = np.take_along_axis(offer, offer.argmax(2)[..., None], 2)[..., 0]
+            rises = best[:, 1:] > best[:, :-1]
+            corner = np.concatenate((best[:, :1] > -np.inf, rises), axis=1)
+            for tau, row, at in zip(tau_block.tolist(), best, corner):
+                if at.any():
+                    steps = zip(rs[at].tolist(), row[at].tolist())
+                    entries[tuple(ids[i] for i in tau)] = Staircase(tuple(steps))
     return BifilteredComplex(ids, entries, dim_cap)
 
 

@@ -16,13 +16,13 @@ All outputs are deterministic for a fixed seed and config.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .builders import ambient_dc_finite, intrinsic_dc
 from .core import BifilteredComplex, DiscreteMeasure, FiniteMetricSpace, MonotonePath
-from .errors import DcechError, DifferentSpaces, ParseError, SupportTooLarge
+from .errors import DcechError, DifferentSpaces, SupportTooLarge
 from .homology import betti_table, diagonal_barcode, slice_persistence
 from .io import (
     format_barcode,
@@ -39,7 +39,6 @@ from .planar import ambient_dc_planar
 from .verify import SUITES, run_all, run_suite
 
 __all__ = [
-    "RunConfig",
     "cmd_build",
     "cmd_hilbert",
     "cmd_slice",
@@ -54,100 +53,85 @@ __all__ = [
 CHECK_SUPPORT_CAP = 22
 
 
-@dataclass
-class RunConfig:
-    """Resolved command-line options shared across subcommands."""
-
-    input: str | None = None
-    kind: str = "planar"  # planar | matrix
-    weights: str | None = None
-    mode: str = "intrinsic"  # intrinsic | ambient-finite | ambient-planar
-    dim_cap: int = 3
-    r_grid: tuple[float, ...] | None = None
-    m_grid: tuple[float, ...] | None = None
-    out: str = "."
-    seed: int = 0
-    suite: str | None = None
-    trials: int | None = None
-    artifact: str | None = None
-    max_degree: int = 2
-    dim: int = 1
-    check: float | None = None
-    files: tuple[str, ...] = field(default_factory=tuple)
-    path_spec: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.dim_cap < 1:
-            raise DcechError(f"dim_cap must be >= 1, got {self.dim_cap}")
-
-
 def _parse_grid(text: str | None) -> tuple[float, ...] | None:
     if text is None:
         return None
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise DcechError(f"bad grid {text!r}: {exc}") from exc
+    if any(math.isnan(v) for v in grid):
+        raise DcechError(f"bad grid {text!r}: nan is not a grid value")
+    return grid
 
 
-def _load_input(config: RunConfig) -> tuple[FiniteMetricSpace, DiscreteMeasure]:
-    if config.input is None:
+def _load_input(args: argparse.Namespace) -> tuple[FiniteMetricSpace, DiscreteMeasure]:
+    if args.input is None:
         raise DcechError("no input file given (use --input or --artifact)")
-    if config.kind == "matrix":
-        if config.weights is not None:
+    if args.kind == "matrix":
+        if args.weights is not None:
             raise DcechError("--weights needs planar input; matrices have none")
-        space, _ = load_matrix_csv(config.input)
+        space, _ = load_matrix_csv(args.input)
         return space, DiscreteMeasure.counting(space.n)
-    return load_planar_csv(config.input, weight_col=config.weights)
+    return load_planar_csv(args.input, weight_col=args.weights)
 
 
-def _build_complex(config: RunConfig) -> BifilteredComplex:
-    space, measure = _load_input(config)
-    if config.mode == "intrinsic":
-        K = intrinsic_dc(space, measure, config.dim_cap)
-    elif config.mode == "ambient-finite":
-        K = ambient_dc_finite(space, measure, config.dim_cap)
-    elif config.mode == "ambient-planar":
-        K = ambient_dc_planar(space, measure, config.dim_cap)
+def _build_complex(
+    args: argparse.Namespace, r_grid: tuple[float, ...] | None = None
+) -> BifilteredComplex:
+    space, measure = _load_input(args)
+    if args.mode == "intrinsic":
+        K = intrinsic_dc(space, measure, args.dim_cap)
+    elif args.mode == "ambient-finite":
+        K = ambient_dc_finite(space, measure, args.dim_cap)
+    elif args.mode == "ambient-planar":
+        K = ambient_dc_planar(space, measure, args.dim_cap)
     else:
-        raise DcechError(f"unknown mode {config.mode!r}")
-    if config.r_grid:
-        K = K.restrict_r_grid(sorted(set(config.r_grid)))
+        raise DcechError(f"unknown mode {args.mode!r}")
+    if r_grid:
+        K = K.restrict_r_grid(sorted(set(r_grid)))
     return K
 
 
-def _resolve_complex(config: RunConfig) -> BifilteredComplex:
-    if config.artifact is not None:
-        K = read_staircase_table(config.artifact)
-        if config.r_grid:
-            K = K.restrict_r_grid(sorted(set(config.r_grid)))
+def _resolve_complex(
+    args: argparse.Namespace, r_grid: tuple[float, ...] | None = None
+) -> BifilteredComplex:
+    if args.artifact is not None:
+        K = read_staircase_table(args.artifact)
+        if r_grid:
+            K = K.restrict_r_grid(sorted(set(r_grid)))
         return K
-    return _build_complex(config)
+    return _build_complex(args, r_grid)
 
 
-def _outdir(config: RunConfig) -> str:
-    os.makedirs(config.out, exist_ok=True)
-    return config.out
+def _outdir(args: argparse.Namespace) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
-def cmd_build(config: RunConfig) -> int:
-    K = _build_complex(config)
-    path = os.path.join(_outdir(config), "staircases.txt")
+def cmd_build(args: argparse.Namespace) -> int:
+    K = _build_complex(args, _parse_grid(args.r_grid))
+    path = os.path.join(_outdir(args), "staircases.txt")
     write_staircase_table(K, path)
     print(f"wrote {path}: {len(K.entries)} simplices, dim_cap {K.dim_cap}")
     return 0
 
 
-def cmd_hilbert(config: RunConfig) -> int:
-    K = _resolve_complex(config)
-    m_grid = sorted(set(config.m_grid)) if config.m_grid else None
-    r_grid = sorted(set(config.r_grid)) if config.r_grid else None
-    table = betti_table(K, m_grid=m_grid, r_grid=r_grid, max_degree=config.max_degree)
-    out = _outdir(config)
+def cmd_hilbert(args: argparse.Namespace) -> int:
+    r_grid = _parse_grid(args.r_grid)
+    m_grid = _parse_grid(args.m_grid)
+    K = _resolve_complex(args, r_grid)
+    table = betti_table(
+        K,
+        m_grid=sorted(set(m_grid)) if m_grid else None,
+        r_grid=sorted(set(r_grid)) if r_grid else None,
+        max_degree=args.max_degree,
+    )
+    out = _outdir(args)
     csv_path = os.path.join(out, "betti.csv")
     write_betti_csv(table, csv_path)
     written = [csv_path]
-    for k in range(config.max_degree + 1):
+    for k in range(args.max_degree + 1):
         svg_path = os.path.join(out, f"betti_deg{k}.svg")
         write_betti_svg(table, k, svg_path)
         written.append(svg_path)
@@ -158,38 +142,31 @@ def cmd_hilbert(config: RunConfig) -> int:
 def _parse_path_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     spec = spec.strip()
     if spec.startswith("m="):
-        try:
-            return "constant", (float(spec[2:]),)
-        except ValueError as exc:
-            raise DcechError(f"bad slice spec {spec!r}: {exc}") from exc
-    if spec.startswith("diag"):
-        rest = spec[4:].strip()
-        parts = [p for p in rest.replace(",", " ").split() if p]
-        if len(parts) != 2:
+        kind, tokens = "constant", [spec[2:]]
+    elif spec.startswith("diag"):
+        kind, tokens = "diag", spec[4:].replace(",", " ").split()
+        if len(tokens) != 2:
             raise DcechError(f"bad slice spec {spec!r}: expected 'diag m0,r0'")
-        try:
-            return "diag", (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise DcechError(f"bad slice spec {spec!r}: {exc}") from exc
-    raise DcechError(f"bad slice spec {spec!r}: expected 'm=<v>' or 'diag m0,r0'")
+    else:
+        raise DcechError(f"bad slice spec {spec!r}: expected 'm=<v>' or 'diag m0,r0'")
+    try:
+        params = tuple(float(tok) for tok in tokens)
+    except ValueError as exc:
+        raise DcechError(f"bad slice spec {spec!r}: {exc}") from exc
+    if any(math.isnan(v) for v in params):
+        raise DcechError(f"bad slice spec {spec!r}: nan is not a parameter")
+    return kind, params
 
 
-def cmd_slice(config: RunConfig, path_spec: str) -> int:
-    K = read_staircase_table(config.artifact) if config.artifact else _build_complex(
-        RunConfig(
-            input=config.input,
-            kind=config.kind,
-            weights=config.weights,
-            mode=config.mode,
-            dim_cap=config.dim_cap,
-        )
-    )
+def cmd_slice(args: argparse.Namespace) -> int:
+    r_grid = _parse_grid(args.r_grid)
+    K = _resolve_complex(args)
     max_degree = max(K.dim_cap - 1, 0)
-    kind, params = _parse_path_spec(path_spec)
+    kind, params = _parse_path_spec(args.spec)
     if kind == "constant":
         (m0,) = params
-        if config.r_grid is not None:
-            r_values: tuple[float, ...] = config.r_grid
+        if r_grid is not None:
+            r_values: tuple[float, ...] = r_grid
         else:
             rs = {0.0}
             for stair in K.entries.values():
@@ -204,13 +181,13 @@ def cmd_slice(config: RunConfig, path_spec: str) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
-    if config.trials is not None and config.trials < 1:
-        raise DcechError(f"--trials must be >= 1, got {config.trials}")
-    if suite == "all":
-        results = run_all(config.seed, config.trials)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise DcechError(f"--trials must be >= 1, got {args.trials}")
+    if args.suite == "all":
+        results = run_all(args.seed, args.trials)
     else:
-        results = [run_suite(suite, config.seed, config.trials)]
+        results = [run_suite(args.suite, args.seed, args.trials)]
     failed = False
     for res in results:
         print(res.summary())
@@ -232,7 +209,8 @@ def _load_measure_file(path: str) -> tuple[FiniteMetricSpace, DiscreteMeasure]:
     return load_planar_csv(path, weight_col=weight_col)
 
 
-def cmd_prohorov(file0: str, file1: str, check: float | None = None) -> int:
+def cmd_prohorov(args: argparse.Namespace) -> int:
+    file0, file1 = args.files
     space0, mu0 = _load_measure_file(file0)
     space1, mu1 = _load_measure_file(file1)
     if space0.n != space1.n or (
@@ -241,14 +219,16 @@ def cmd_prohorov(file0: str, file1: str, check: float | None = None) -> int:
         and space0.coords.tolist() != space1.coords.tolist()
     ):
         raise DifferentSpaces(f"{file0} and {file1} list different points")
-    if check is not None:
-        report = prohorov_check(space0, mu0, mu1, check, support_cap=CHECK_SUPPORT_CAP)
+    if args.check is not None:
+        report = prohorov_check(
+            space0, mu0, mu1, args.check, support_cap=CHECK_SUPPORT_CAP
+        )
         verdict = "pass" if report.ok else "fail"
         witness = (
             "" if report.witness_subset is None
             else " witness " + str(sorted(report.witness_subset))
         )
-        print(f"{verdict}: eps {check} slack {report.worst_slack}{witness}")
+        print(f"{verdict}: eps {args.check} slack {report.worst_slack}{witness}")
         return 0 if report.ok else 1
     try:
         d = prohorov_distance(space0, mu0, mu1)
@@ -260,12 +240,12 @@ def cmd_prohorov(file0: str, file1: str, check: float | None = None) -> int:
     return 0
 
 
-def cmd_export_firep(config: RunConfig) -> int:
-    K = _resolve_complex(config)
-    path = os.path.join(_outdir(config), f"firep_d{config.dim}.txt")
-    n_top, n_face = write_firep(K, config.dim, path)
-    print(f"wrote {path}: {n_top} generators in dim {config.dim}, "
-          f"{n_face} in dim {config.dim - 1}")
+def cmd_export_firep(args: argparse.Namespace) -> int:
+    K = _resolve_complex(args)
+    path = os.path.join(_outdir(args), f"firep_d{args.dim}.txt")
+    n_top, n_face = write_firep(K, args.dim, path)
+    print(f"wrote {path}: {n_top} generators in dim {args.dim}, "
+          f"{n_face} in dim {args.dim - 1}")
     return 0
 
 
@@ -298,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_opts(p, with_artifact=False)
     p.add_argument("--r-grid", help="comma-separated radii to restrict to")
     p.add_argument("--out", default=".", help="output directory")
+    p.set_defaults(run=cmd_build)
 
     p = sub.add_parser("hilbert", help="Betti CSV and per-degree SVG heatmaps")
     _add_input_opts(p, with_artifact=True)
@@ -305,16 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-grid", help="comma-separated mass grid")
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--out", default=".", help="output directory")
+    p.set_defaults(run=cmd_hilbert)
 
     p = sub.add_parser("slice", help="barcode along a monotone parameter path")
     _add_input_opts(p, with_artifact=True)
     p.add_argument("spec", help="path spec: 'm=<v>' or 'diag m0,r0'")
     p.add_argument("--r-grid", help="radius samples for constant-m slices")
+    p.set_defaults(run=cmd_slice)
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, help="override the per-suite trial count")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("prohorov", help="Prohorov distance of two weighted files")
     p.add_argument("files", nargs=2, metavar="FILE")
@@ -322,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", type=float,
         help="test a candidate epsilon instead of computing the distance",
     )
+    p.set_defaults(run=cmd_prohorov)
 
     p = sub.add_parser("export-firep", help="chain-map export at one dimension")
     _add_input_opts(p, with_artifact=True)
     p.add_argument("--dim", type=int, default=1, help="top dimension (default 1)")
     p.add_argument("--out", default=".", help="output directory")
+    p.set_defaults(run=cmd_export_firep)
     return parser
 
 
@@ -338,40 +324,13 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        config = RunConfig(
-            input=getattr(args, "input", None),
-            kind=getattr(args, "kind", "planar"),
-            weights=getattr(args, "weights", None),
-            mode=getattr(args, "mode", "intrinsic"),
-            dim_cap=getattr(args, "dim_cap", 3),
-            r_grid=_parse_grid(getattr(args, "r_grid", None)),
-            m_grid=_parse_grid(getattr(args, "m_grid", None)),
-            out=getattr(args, "out", "."),
-            seed=getattr(args, "seed", 0),
-            suite=getattr(args, "suite", None),
-            trials=getattr(args, "trials", None),
-            artifact=getattr(args, "artifact", None),
-            max_degree=getattr(args, "max_degree", 2),
-            dim=getattr(args, "dim", 1),
-            check=getattr(args, "check", None),
-            files=tuple(getattr(args, "files", ())),
-            path_spec=getattr(args, "spec", None),
-        )
-        if args.command == "build":
-            return cmd_build(config)
-        if args.command == "hilbert":
-            return cmd_hilbert(config)
-        if args.command == "slice":
-            return cmd_slice(config, config.path_spec or "")
-        if args.command == "verify":
-            return cmd_verify(config, config.suite or "all")
-        if args.command == "prohorov":
-            return cmd_prohorov(config.files[0], config.files[1], config.check)
-        if args.command == "export-firep":
-            return cmd_export_firep(config)
-        raise DcechError(f"unknown command {args.command!r}")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if getattr(args, "dim_cap", 1) < 1:
+            raise DcechError(f"dim_cap must be >= 1, got {args.dim_cap}")
+        return args.run(args)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{reason}", file=sys.stderr)
         return 2
     except DcechError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,11 +33,11 @@ from itertools import combinations
 from typing import Callable
 
 from .builders import (
+    DegreeBifiltration,
     DowkerDissimilarity,
     SetBifiltration,
     ambient_dc_finite,
     cover_nerve,
-    degree_bifiltration,
     dowker_dual,
     intrinsic_dc,
     nerve_bifiltration,
@@ -279,7 +279,7 @@ def run_duality(seed: int, trials: int = 100) -> SuiteResult:
         ny = rng.randint(2, 6)
         lam = random_dowker(rng, nx, ny)
         mu = DiscreteMeasure(tuple(float(rng.randint(1, 3)) for _ in range(ny)))
-        f = degree_bifiltration(lam, mu)
+        f = DegreeBifiltration(lam, mu)
         nf = nerve_bifiltration(f, 3)
         dual = dowker_dual(lam, f, 3)
         ms = _positive_m_grid(nf)
@@ -328,7 +328,7 @@ def run_restriction(seed: int, trials: int = 50) -> SuiteResult:
         for i in rng.sample(range(ny), zero_count):
             weights[i] = 0.0
         mu = DiscreteMeasure(tuple(weights))
-        f = degree_bifiltration(lam, mu)
+        f = DegreeBifiltration(lam, mu)
         dual = dowker_dual(lam, f, 3)
         support = set(mu.support)
         ms = _positive_m_grid(dual)
@@ -480,10 +480,10 @@ def run_prop76(seed: int, trials: int = 50) -> SuiteResult:
         back1 = {amb: k for k, amb in enumerate(i1)}
         pi0 = tuple(back0[proj0[i1[x]]] for x in range(n1))
         pi1 = tuple(back1[proj1[i0[x]]] for x in range(n0))
-        f0 = degree_bifiltration(
+        f0 = DegreeBifiltration(
             DowkerDissimilarity.from_metric(space0), mu0
         )
-        f1 = degree_bifiltration(
+        f1 = DegreeBifiltration(
             DowkerDissimilarity.from_metric(space1), mu1
         )
         shift = ForwardShift.doubling_shift(eps)

@@ -6,7 +6,9 @@ inclusion verdicts from dense numpy elimination instead of int-packed
 columns, degree Cech nerves from subset enumeration over the raw
 dissimilarity matrix instead of cached ball masks, the Prohorov distance from a
 definition-level feasibility scan instead of the breakpoint envelope, and the
-bottleneck distance from exhaustive matchings. Geometric primitives (midpoint,
+bottleneck distance from exhaustive matchings, and the Dowker dual from a scan
+over radii and witnesses with int ball masks instead of one numpy envelope
+over witnesses. Geometric primitives (midpoint,
 circumcenter, point distance) are shared formula-for-formula with the library
 on purpose: exact set-equality checks at breakpoints need the two sides to
 round identically, and the value of the oracle is the independent search, not
@@ -16,9 +18,12 @@ independent rounding.
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations, permutations
 
 import numpy as np
+
+from dcech import BifilteredComplex, DimensionMismatch, Staircase
 
 Point = tuple[float, float]
 
@@ -245,6 +250,59 @@ def degree_cech_nerve(
             if any(all(matrix[x][y] <= r for x in sigma) for y in points):
                 out.add(sigma)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dowker dual by a scan over radii and witnesses
+# ---------------------------------------------------------------------------
+
+
+def _mask_of(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def dowker_dual_reference(dowker, f, dim_cap: int = 3, y_ids=None) -> BifilteredComplex:
+    """The dual complex on Y, one simplex, radius and witness at a time.
+
+    At every radius of the grid, tau's sample is the largest f({x}, r) over
+    the witnesses x whose ball mask contains tau's mask, taken in witness
+    order with a strict >; the samples are then compressed to a staircase.
+    """
+    if f.universe_size != dowker.nx:
+        raise DimensionMismatch("f universe does not match the witness set")
+    ny = dowker.ny
+    ids = tuple(y_ids) if y_ids is not None else tuple(range(ny))
+    if len(ids) != ny:
+        raise DimensionMismatch("y_ids do not match the dual universe size")
+    if ny > 20:
+        warnings.warn(f"materializing a dual over {ny} vertices", stacklevel=2)
+    rs = sorted(set((0.0,) + dowker.r_values() + tuple(f.r_breakpoints())))
+    per_r: list[tuple[list[int], list[float]]] = []
+    for r in rs:
+        masks = [dowker.ball_mask(x, r) for x in range(dowker.nx)]
+        vals = [f.value((x,), r) for x in range(dowker.nx)]
+        per_r.append((masks, vals))
+    entries = {}
+    for size in range(1, min(dim_cap + 2, ny + 1)):
+        for tau in combinations(range(ny), size):
+            tmask = _mask_of(tau)
+            samples: list[float | None] = []
+            for masks, vals in per_r:
+                best: float | None = None
+                for x in range(dowker.nx):
+                    if tmask & ~masks[x]:
+                        continue
+                    v = vals[x]
+                    if best is None or v > best:
+                        best = v
+                samples.append(best)
+            stair = Staircase.from_samples(rs, samples)
+            if stair is not None:
+                entries[tuple(ids[i] for i in tau)] = stair
+    return BifilteredComplex(ids, entries, dim_cap)
 
 
 # ---------------------------------------------------------------------------

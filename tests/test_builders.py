@@ -3,9 +3,12 @@
 The workhorse is L3: three collinear points at x = 0, 1, 3 with the counting
 measure. All expected masses, staircases, and Betti numbers below were
 computed by hand from the distance matrix [[0,1,3],[1,0,2],[3,2,0]].
+Seeded random instances compare ``dowker_dual`` with the scan over witnesses
+in oracles.py.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,9 +32,7 @@ from dcech import (
     ambient_dc_finite,
     betti,
     cover_nerve,
-    degree_bifiltration,
     dowker_dual,
-    dtm_bifiltration,
     intrinsic_dc,
     measure_bifiltration_points,
     measure_dowker_reindex,
@@ -39,6 +40,9 @@ from dcech import (
     rectangle_complex,
     restrict_to_support,
 )
+from dcech.instances import random_dowker, random_measure
+
+from .oracles import dowker_dual_reference
 
 
 @pytest.fixture
@@ -115,7 +119,7 @@ class TestDegreeBifiltration:
 
     def test_weighted(self, l3):
         dowker = DowkerDissimilarity.from_metric(l3)
-        f = degree_bifiltration(dowker, DiscreteMeasure((0.5, 2.0, 0.25)))
+        f = DegreeBifiltration(dowker, DiscreteMeasure((0.5, 2.0, 0.25)))
         assert f.value((0, 2), 2.0) == 2.0
         assert f.value((0,), 1.0) == 2.5
 
@@ -137,7 +141,7 @@ class TestDegreeBifiltration:
 class TestDistanceToMeasure:
     def test_p1_values_on_l3(self, l3):
         dowker = DowkerDissimilarity.from_metric(l3)
-        f = dtm_bifiltration(dowker, DiscreteMeasure.counting(3), 1.0)
+        f = DistanceToMeasureBifiltration(dowker, DiscreteMeasure.counting(3), 1.0)
         # ball of point 0 at r=1 is {0, 1}; distances 0 and 1 contribute 1
         assert f.value((0,), 1.0) == 1.0
         # ball of point 1 at r=3 is everything; distances 1 + 0 + 2
@@ -153,15 +157,15 @@ class TestDistanceToMeasure:
         dowker = DowkerDissimilarity.from_metric(l3)
         for p in (0.0, -1.0):
             with pytest.raises(NonPositiveP):
-                dtm_bifiltration(dowker, DiscreteMeasure.counting(3), p)
+                DistanceToMeasureBifiltration(dowker, DiscreteMeasure.counting(3), p)
 
     def test_inf_entries(self):
         dowker = DowkerDissimilarity(np.array([[0.0, math.inf]]))
-        f = dtm_bifiltration(dowker, DiscreteMeasure((1.0, 1.0)), 1.0)
+        f = DistanceToMeasureBifiltration(dowker, DiscreteMeasure((1.0, 1.0)), 1.0)
         assert f.value((0,), 5.0) == 0.0
         assert f.value((0,), math.inf) == math.inf
         # a zero-weight point never contributes, even at distance inf
-        g = dtm_bifiltration(dowker, DiscreteMeasure((1.0, 0.0)), 1.0)
+        g = DistanceToMeasureBifiltration(dowker, DiscreteMeasure((1.0, 0.0)), 1.0)
         assert g.value((0,), math.inf) == 0.0
 
 
@@ -307,6 +311,49 @@ class TestDowkerDual:
         )
         with pytest.raises(DimensionMismatch):
             dowker_dual(dowker, other)
+
+
+def _dual_instances(rng: random.Random):
+    """Seeded (dowker, f) pairs with ties, inf entries and zero weights."""
+    for trial in range(60):
+        nx, ny = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 4 == 0:
+            nx = 1
+        elif trial % 4 == 1:
+            ny = 1
+        m = random_dowker(rng, nx, ny).matrix.copy()
+        if trial % 2:
+            m = np.round(m * 4.0) / 4.0  # equal entries, so equal offers
+        for _ in range(rng.randint(0, 2)):
+            m[rng.randrange(nx), rng.randrange(ny)] = math.inf
+        dowker = DowkerDissimilarity(m)
+        mu = random_measure(rng, ny, zero_count=rng.randint(0, ny - 1))
+        yield dowker, DegreeBifiltration(dowker, mu)
+        p = rng.choice((0.5, 1.0, 2.0))
+        yield dowker, DistanceToMeasureBifiltration(dowker, mu, p)
+        # an inf grid point, and signed zeros that compare equal but print apart
+        grid = (0.0, 0.3, 0.7, math.inf)
+        yield dowker, TableBifiltration(nx, grid, {
+            (x,): sorted(rng.choice((-0.0, 0.0, 0.5, 1.0, 2.0)) for _ in grid)
+            for x in range(nx)
+        })
+
+
+class TestDowkerDualAgainstReference:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_staircases(self, seed):
+        rng = random.Random(seed)
+        for dowker, f in _dual_instances(rng):
+            dim_cap = rng.randint(1, 3)
+            y_ids = None
+            if rng.random() < 0.5:
+                y_ids = tuple(sorted(rng.sample(range(50), dowker.ny)))
+            got = dowker_dual(dowker, f, dim_cap, y_ids)
+            want = dowker_dual_reference(dowker, f, dim_cap, y_ids)
+            assert got.universe == want.universe
+            assert list(got.entries) == list(want.entries)
+            for sigma, stair in want.entries.items():
+                assert repr(got.entries[sigma]) == repr(stair), sigma
 
 
 class TestIntrinsicAndAmbient:

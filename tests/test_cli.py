@@ -100,7 +100,7 @@ class TestBuild:
              "--out", str(tmp_path)],
         )
         assert code == 2
-        assert "dim_cap must be >= 1" in stderr
+        assert stderr == "error: dim_cap must be >= 1, got 0\n"
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -231,6 +231,54 @@ class TestBadArtifact:
         assert code == 2
         assert stdout == ""
         assert stderr == f"error: {table}:{line}: {reason}\n"
+
+
+class TestBadInput:
+    """Each case exits 2 with one stderr line naming the problem."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--input", "nope.csv"],
+            ["slice", "--artifact", "nope.txt", "m=1"],
+            ["prohorov", "nope.csv", "x.csv"],
+        ],
+        ids=["build", "slice", "prohorov"],
+    )
+    def test_missing_file(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, argv)
+        assert code == 2
+        assert stdout == ""
+        missing = next(a for a in argv if a.startswith("nope"))
+        assert stderr.startswith(f"error: {missing}: ")
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["slice", "m=nan"], "bad slice spec"),
+            (["slice", "diag nan,0"], "bad slice spec"),
+            (["slice", "m=1", "--r-grid", "0,NaN"], "bad grid"),
+            (["hilbert", "--m-grid", "nan"], "bad grid"),
+            (["hilbert", "--r-grid", "0,nan"], "bad grid"),
+        ],
+        ids=["slice-m", "slice-diag", "slice-r-grid", "hilbert-m", "hilbert-r"],
+    )
+    def test_nan_parameter(self, tmp_path, monkeypatch, capsys, points_csv, argv, bad):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, argv + ["--input", points_csv])
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {bad}") and "nan is not" in stderr
+        assert stderr.count("\n") == 1
+        assert os.listdir(tmp_path) == ["points.csv"]
+
+    def test_infinite_parameters_stay_accepted(self, capsys, points_csv):
+        for argv in (["m=-inf"], ["m=1", "--r-grid", "0,1,inf"], ["diag inf,0"]):
+            code, stdout, stderr = run(capsys, ["slice", "--input", points_csv] + argv)
+            assert (code, stderr) == (0, "")
+            assert stdout.startswith("H0:")
 
 
 class TestVerify:
