@@ -63,7 +63,6 @@ from .errors import (
     NotAnInclusion,
     NotDistancePreserving,
     ParseError,
-    SupportTooLarge,
     TriangleViolation,
     UnsupportedDimension,
 )
@@ -97,7 +96,6 @@ from .io import (
     write_staircase_table,
 )
 from .metrics import (
-    SUPPORT_CAP,
     CommonEmbedding,
     ConditionSlack,
     InterleavingReport,

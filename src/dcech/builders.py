@@ -281,7 +281,8 @@ class TableBifiltration(SetBifiltration):
         table: Mapping[Iterable[int], Sequence[float]],
     ) -> None:
         grid = tuple(float(r) for r in r_grid)
-        if not grid or grid[0] != 0.0 or list(grid) != sorted(set(grid)):
+        # strict comparisons also turn away a nan grid point
+        if not grid or grid[0] != 0.0 or not all(a < b for a, b in zip(grid, grid[1:])):
             raise MonotonicityError("r_grid must be sorted, distinct, starting at 0")
         fixed: dict[Simplex, tuple[float, ...]] = {}
         for sig, vals in table.items():
@@ -289,8 +290,8 @@ class TableBifiltration(SetBifiltration):
             v = tuple(float(x) for x in vals)
             if len(v) != len(grid):
                 raise DimensionMismatch(f"values for {s} do not match the r grid")
-            if any(x < 0 for x in v):
-                raise MonotonicityError(f"negative value for {s}")
+            if not all(x >= 0 for x in v):
+                raise MonotonicityError(f"negative or nan value for {s}")
             if any(b < a for a, b in zip(v, v[1:])):
                 raise MonotonicityError(f"values for {s} decrease along r")
             fixed[s] = v

@@ -215,7 +215,7 @@ def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> None:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Nonnegative weights aligned with a FiniteMetricSpace.
+    """Finite nonnegative weights aligned with a FiniteMetricSpace.
 
     The support is the set of indices with strictly positive weight and must
     be nonempty. Total mass is not normalized; arbitrary finite measures are
@@ -227,8 +227,8 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         w = tuple(float(x) for x in self.weights)
         for i, x in enumerate(w):
-            if x < 0 or math.isnan(x):
-                raise EmptySupport(f"weight {i} is {x}; weights must be >= 0")
+            if not 0 <= x < math.inf:
+                raise EmptySupport(f"weight {i} is {x}; weights must be finite and >= 0")
         if not any(x > 0 for x in w):
             raise EmptySupport("measure has empty support")
         object.__setattr__(self, "weights", w)

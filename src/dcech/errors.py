@@ -28,7 +28,6 @@ __all__ = [
     "NonMonotonePath",
     "NotAnInclusion",
     "UnsupportedDimension",
-    "SupportTooLarge",
     "DifferentSpaces",
     "EmptyTarget",
     "NotDistancePreserving",
@@ -125,10 +124,6 @@ class NotAnInclusion(DcechError, ValueError):
 
 class UnsupportedDimension(DcechError, ValueError):
     """A homology degree outside the materialized range was requested."""
-
-
-class SupportTooLarge(DcechError, ValueError):
-    """Combined support exceeds the exact-computation cap."""
 
 
 class DifferentSpaces(DcechError, ValueError):

@@ -111,6 +111,8 @@ def load_planar_csv(
             w = float(row[wi]) if wi is not None else 1.0
         except (ValueError, IndexError) as exc:
             raise ParseError(path, lineno, str(exc)) from exc
+        if not all(map(math.isfinite, (x, y, w))):
+            raise ParseError(path, lineno, "coordinates and weights must be finite")
         coords.append((x, y))
         weights.append(w)
     if not coords:

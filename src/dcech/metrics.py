@@ -1,11 +1,13 @@
 """Prohorov distance, common embeddings, and interleaving verification.
 
 The Prohorov distance between finite discrete measures on a common space is
-computed exactly: for every subset B of the union of supports, the minimal
-feasible epsilon is a min over offset breakpoints of max(threshold, mass
-deficit), and the distance is the max over subsets and both inequality
-directions. Subset enumeration is vectorized over bitmasks, so the support
-cap keeps the arrays small.
+computed exactly. At a threshold t, the worst deficit mu_i(B) - mu_j(N_t(B))
+over support subsets B is one bipartite max-flow on the weights as exact ints
+(Gale's supply-demand theorem); its least maximizer B gives the float deficit
+D(t), and of the two directions the larger deficit wins, then the smaller
+bitmask of B, then direction 0. The distance bisects the sorted finite
+distances for the first t with D(t) <= t, and prohorov_check decides with the
+same D, so it passes exactly when the distance is at most eps.
 
 Interleaving checks follow the displayed inequalities directly: every
 condition is evaluated for all simplices up to dim_cap and all grid radii,
@@ -20,7 +22,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,11 +44,9 @@ from .errors import (
     EmptyTarget,
     IndexOutOfRange,
     NotDistancePreserving,
-    SupportTooLarge,
 )
 
 __all__ = [
-    "SUPPORT_CAP",
     "CommonEmbedding",
     "ConditionSlack",
     "InterleavingReport",
@@ -62,56 +64,98 @@ __all__ = [
     "verify_sandwich",
 ]
 
-# 2^15 subsets keeps exact enumeration well under a second.
-SUPPORT_CAP = 15
-
 
 # ---------------------------------------------------------------------------
 # Prohorov distance
 # ---------------------------------------------------------------------------
 
 
-def _union_support(
-    space: FiniteMetricSpace,
-    mu0: DiscreteMeasure,
-    mu1: DiscreteMeasure,
-    support_cap: int,
-) -> list[int]:
+def _least_maximizer(
+    supply: list[int], demand: list[int], adj: list[list[int]]
+) -> tuple[list[int], list[int]]:
+    """The least B maximizing supply(B) - demand(N(B)), and N(B).
+
+    Edmonds-Karp on source -> x (capacity supply[x]), x -> y for y in adj[x]
+    (uncapped), y -> sink (capacity demand[y]). Once no augmenting path is
+    left, the nodes the source reaches form the least minimum cut: its left
+    nodes lie in every maximizer, and its right nodes are their neighbours.
+    """
+    k = len(supply)
+    supply, demand = list(supply), list(demand)
+    flow: list[dict[int, int]] = [{} for _ in range(k)]  # flow[y][x]: x sends to y
+    while True:
+        # BFS; a left node keeps the right node it came back from (-1: the
+        # source), a right node the left node that reached it
+        back: list[int | None] = [-1 if s else None for s in supply]
+        reach: list[int | None] = [None] * k
+        queue = [x for x in range(k) if supply[x]]
+        end = None
+        for x in queue:  # grows while it is read
+            for y in adj[x]:
+                if reach[y] is None:
+                    reach[y] = x
+                    if demand[y]:
+                        end = y
+                        break
+                    for x2, f in flow[y].items():
+                        if f and back[x2] is None:
+                            back[x2] = y
+                            queue.append(x2)
+            if end is not None:
+                break
+        if end is None:
+            left = [x for x in range(k) if back[x] is not None]
+            return left, [y for y in range(k) if reach[y] is not None]
+        path = [(reach[end], end)]  # forward edges, from the sink back
+        while back[path[-1][0]] != -1:
+            y = back[path[-1][0]]
+            path.append((reach[y], y))
+        x0 = path[-1][0]
+        amount = min([supply[x0], demand[end]] + [flow[back[x]][x] for x, _ in path[:-1]])
+        supply[x0] -= amount
+        demand[end] -= amount
+        for x, y in path:
+            flow[y][x] = flow[y].get(x, 0) + amount
+            if back[x] != -1:
+                flow[back[x]][x] -= amount
+
+
+def _deficits(space: FiniteMetricSpace, mu0: DiscreteMeasure, mu1: DiscreteMeasure):
+    """The union support, its sorted finite distances ts, and D.
+
+    D(t) is (deficit, bitmask of B over the union, direction) at threshold t
+    (no edges for t = None). Sums run left to right from 0.0, the enumeration's
+    rounding; sum() compensates from Python 3.12 on, so it is not used.
+    """
     if len(mu0) != space.n or len(mu1) != space.n:
         raise DifferentSpaces("measures are not indexed by the same space")
     union = sorted(set(mu0.support) | set(mu1.support))
-    if len(union) > support_cap:
-        raise SupportTooLarge(
-            f"combined support has {len(union)} points, cap is {support_cap}"
-        )
-    return union
+    d = space.dist[np.ix_(union, union)]
+    ts = sorted(set(float(x) for x in d.ravel() if math.isfinite(x)))
+    w = [[mu.weights[u] for u in union] for mu in (mu0, mu1)]
+    # exact ints over one power-of-two denominator
+    den = max(x.as_integer_ratio()[1] for x in w[0] + w[1])
+    a = [[p * den // q for p, q in map(float.as_integer_ratio, ws)] for ws in w]
 
+    def deficit(t: float | None) -> tuple[float, int, int]:
+        adj = [np.flatnonzero(row <= t).tolist() if t is not None else [] for row in d]
+        best = (-math.inf, 0, 0)
+        for i, j in ((0, 1), (1, 0)):
+            left, right = _least_maximizer(a[i], a[j], adj)
+            value = reduce(add, (w[i][x] for x in left), 0.0)
+            value -= reduce(add, (w[j][y] for y in right), 0.0)
+            mask = sum(1 << x for x in left)
+            if (value, -mask) > (best[0], -best[1]):
+                best = (value, mask, i)
+        return best
 
-def _subset_sums(weights: Sequence[float], k: int) -> np.ndarray:
-    out = np.zeros(1 << k)
-    for j in range(k):
-        out[1 << j : 1 << (j + 1)] = out[: 1 << j] + weights[j]
-    return out
-
-
-def _offset_masks(d: np.ndarray, t: float, k: int) -> np.ndarray:
-    """off[B] = bitmask of points within distance t of the subset B."""
-    off = np.zeros(1 << k, dtype=np.int64)
-    for j in range(k):
-        ball = 0
-        row = d[j]
-        for v in range(k):
-            if row[v] <= t:
-                ball |= 1 << v
-        off[1 << j : 1 << (j + 1)] = off[: 1 << j] | ball
-    return off
+    return union, ts, deficit
 
 
 def prohorov_distance(
     space: FiniteMetricSpace,
     mu0: DiscreteMeasure,
     mu1: DiscreteMeasure,
-    support_cap: int = SUPPORT_CAP,
 ) -> float:
     """Exact Prohorov distance between two measures on a common space.
 
@@ -119,20 +163,16 @@ def prohorov_distance(
     of the union of supports and both orderings of (i, j); B^eps is the
     closed eps-offset.
     """
-    union = _union_support(space, mu0, mu1, support_cap)
-    k = len(union)
-    if k == 0:
-        return 0.0
-    d = space.dist[np.ix_(union, union)]
-    m0 = _subset_sums([mu0.weights[u] for u in union], k)
-    m1 = _subset_sums([mu1.weights[u] for u in union], k)
-    ts = sorted(set(float(x) for x in d.ravel() if math.isfinite(x)))
-    best = np.full(1 << k, math.inf)
-    for t in ts:
-        off = _offset_masks(d, t, k)
-        deficit = np.maximum(m0 - m1[off], m1 - m0[off])
-        np.minimum(best, np.maximum(t, deficit), out=best)
-    return float(best.max())
+    _, ts, deficit = _deficits(space, mu0, mu1)
+    # bisect for the first i with D(t_i) <= t_i; D(t_lo) > t_lo was seen
+    lo, hi, d_lo = -1, len(ts), math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (value := deficit(ts[mid])[0]) <= ts[mid]:
+            hi = mid
+        else:
+            lo, d_lo = mid, value
+    return d_lo if hi == len(ts) else min(ts[hi], d_lo)
 
 
 @dataclass(frozen=True)
@@ -141,8 +181,8 @@ class ProhorovCheck:
 
     ok: bool
     worst_slack: float
-    witness_subset: frozenset[int] | None
-    direction: int | None  # 0: mu0(B) vs mu1(B^eps), 1: the reverse
+    witness_subset: frozenset[int]
+    direction: int  # 0: mu0(B) vs mu1(B^eps), 1: the reverse
 
 
 def prohorov_check(
@@ -150,33 +190,12 @@ def prohorov_check(
     mu0: DiscreteMeasure,
     mu1: DiscreteMeasure,
     eps: float,
-    support_cap: int = SUPPORT_CAP,
 ) -> ProhorovCheck:
     """Check mu_i(B) <= mu_j(B^eps) + eps for all support subsets B."""
-    union = _union_support(space, mu0, mu1, support_cap)
-    k = len(union)
-    if k == 0:
-        return ProhorovCheck(True, math.inf, None, None)
-    d = space.dist[np.ix_(union, union)]
-    m0 = _subset_sums([mu0.weights[u] for u in union], k)
-    m1 = _subset_sums([mu1.weights[u] for u in union], k)
-    if eps < 0:
-        off = np.zeros(1 << k, dtype=np.int64)
-    else:
-        ts = sorted(set(float(x) for x in d.ravel() if math.isfinite(x)))
-        idx = bisect_right(ts, eps) - 1
-        off = _offset_masks(d, ts[idx], k) if idx >= 0 else np.zeros(
-            1 << k, dtype=np.int64
-        )
-    # the deficits of prohorov_distance, rounded the same way, so the check
-    # passes exactly when that distance is at most eps
-    deficit0 = m0 - m1[off]
-    deficit1 = m1 - m0[off]
-    deficit = np.maximum(deficit0, deficit1)
-    b = int(deficit.argmax())
-    direction = 0 if deficit0[b] >= deficit1[b] else 1
-    witness = frozenset(union[j] for j in range(k) if b >> j & 1)
-    worst = float(deficit[b])
+    union, ts, deficit = _deficits(space, mu0, mu1)
+    idx = -1 if eps < 0 else bisect_right(ts, eps) - 1
+    worst, mask, direction = deficit(ts[idx] if idx >= 0 else None)
+    witness = frozenset(u for j, u in enumerate(union) if mask >> j & 1)
     return ProhorovCheck(worst <= eps, eps - worst, witness, direction)
 
 
@@ -293,7 +312,6 @@ def gp_upper_bound(
     embedding: CommonEmbedding,
     mu0: DiscreteMeasure,
     mu1: DiscreteMeasure,
-    support_cap: int = SUPPORT_CAP,
 ) -> float:
     """Prohorov distance of the pushforwards along one common embedding.
 
@@ -301,7 +319,7 @@ def gp_upper_bound(
     """
     nu0 = pushforward(mu0, embedding.iota0, embedding.ambient.n)
     nu1 = pushforward(mu1, embedding.iota1, embedding.ambient.n)
-    return prohorov_distance(embedding.ambient, nu0, nu1, support_cap)
+    return prohorov_distance(embedding.ambient, nu0, nu1)
 
 
 # ---------------------------------------------------------------------------

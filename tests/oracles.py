@@ -5,8 +5,8 @@ a Welzl recursion instead of candidate enumeration, Betti numbers and
 inclusion verdicts from dense numpy elimination instead of int-packed
 columns, degree Cech nerves from subset enumeration over the raw
 dissimilarity matrix instead of cached ball masks, the Prohorov distance from a
-definition-level feasibility scan instead of the breakpoint envelope, and the
-bottleneck distance from exhaustive matchings, and the Dowker dual from a scan
+definition-level feasibility scan and, with its check, from enumerating every
+support subset instead of max-flows, and the bottleneck distance from exhaustive matchings, and the Dowker dual from a scan
 over radii and witnesses with int ball masks instead of one numpy envelope
 over witnesses. Geometric primitives (midpoint,
 circumcenter, point distance) are shared formula-for-formula with the library
@@ -19,11 +19,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from itertools import combinations, permutations
 
 import numpy as np
 
-from dcech import BifilteredComplex, DimensionMismatch, Staircase
+from dcech import (
+    BifilteredComplex,
+    DifferentSpaces,
+    DimensionMismatch,
+    ProhorovCheck,
+    Staircase,
+)
 
 Point = tuple[float, float]
 
@@ -361,6 +368,92 @@ def prohorov_brute(dist, w0, w1) -> float:
         else:
             lo = mid
     return feasible[hi]
+
+
+# ---------------------------------------------------------------------------
+# Prohorov distance and check by subset enumeration
+# ---------------------------------------------------------------------------
+# The library's former bodies, which enumerate all 2^k subsets of the union
+# support, kept with their two helpers as the reference for the max-flow
+# version. Only the support cap is gone.
+
+
+def _union_support(space, mu0, mu1) -> list[int]:
+    if len(mu0) != space.n or len(mu1) != space.n:
+        raise DifferentSpaces("measures are not indexed by the same space")
+    return sorted(set(mu0.support) | set(mu1.support))
+
+
+def _subset_sums(weights, k: int) -> np.ndarray:
+    out = np.zeros(1 << k)
+    for j in range(k):
+        out[1 << j : 1 << (j + 1)] = out[: 1 << j] + weights[j]
+    return out
+
+
+def _offset_masks(d: np.ndarray, t: float, k: int) -> np.ndarray:
+    """off[B] = bitmask of points within distance t of the subset B."""
+    off = np.zeros(1 << k, dtype=np.int64)
+    for j in range(k):
+        ball = 0
+        row = d[j]
+        for v in range(k):
+            if row[v] <= t:
+                ball |= 1 << v
+        off[1 << j : 1 << (j + 1)] = off[: 1 << j] | ball
+    return off
+
+
+def prohorov_distance_enumerated(space, mu0, mu1) -> float:
+    """Exact Prohorov distance between two measures on a common space.
+
+    Smallest eps such that mu_i(B) <= mu_j(B^eps) + eps for every subset B
+    of the union of supports and both orderings of (i, j); B^eps is the
+    closed eps-offset.
+    """
+    union = _union_support(space, mu0, mu1)
+    k = len(union)
+    if k == 0:
+        return 0.0
+    d = space.dist[np.ix_(union, union)]
+    m0 = _subset_sums([mu0.weights[u] for u in union], k)
+    m1 = _subset_sums([mu1.weights[u] for u in union], k)
+    ts = sorted(set(float(x) for x in d.ravel() if math.isfinite(x)))
+    best = np.full(1 << k, math.inf)
+    for t in ts:
+        off = _offset_masks(d, t, k)
+        deficit = np.maximum(m0 - m1[off], m1 - m0[off])
+        np.minimum(best, np.maximum(t, deficit), out=best)
+    return float(best.max())
+
+
+def prohorov_check_enumerated(space, mu0, mu1, eps: float) -> ProhorovCheck:
+    """Check mu_i(B) <= mu_j(B^eps) + eps for all support subsets B."""
+    union = _union_support(space, mu0, mu1)
+    k = len(union)
+    if k == 0:
+        return ProhorovCheck(True, math.inf, None, None)
+    d = space.dist[np.ix_(union, union)]
+    m0 = _subset_sums([mu0.weights[u] for u in union], k)
+    m1 = _subset_sums([mu1.weights[u] for u in union], k)
+    if eps < 0:
+        off = np.zeros(1 << k, dtype=np.int64)
+    else:
+        ts = sorted(set(float(x) for x in d.ravel() if math.isfinite(x)))
+        idx = bisect_right(ts, eps) - 1
+        off = _offset_masks(d, ts[idx], k) if idx >= 0 else np.zeros(
+            1 << k, dtype=np.int64
+        )
+    # the deficits of prohorov_distance, rounded the same way, so the check
+    # passes exactly when that distance is at most eps
+    deficit0 = m0 - m1[off]
+    deficit1 = m1 - m0[off]
+    deficit = np.maximum(deficit0, deficit1)
+    b = int(deficit.argmax())
+    direction = 0 if deficit0[b] >= deficit1[b] else 1
+    witness = frozenset(union[j] for j in range(k) if b >> j & 1)
+    worst = float(deficit[b])
+    return ProhorovCheck(worst <= eps, eps - worst, witness, direction)
 
 
 # ---------------------------------------------------------------------------

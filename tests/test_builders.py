@@ -194,6 +194,18 @@ class TestTableBifiltration:
         with pytest.raises(MonotonicityError):
             TableBifiltration(1, (0.0, 0.0), {})
 
+    def test_nan_grid_point(self):
+        with pytest.raises(MonotonicityError):
+            TableBifiltration(1, (0.0, math.nan), {(0,): (1.0, 1.0)})
+
+    def test_nan_value(self):
+        # it used to construct, and its Dowker dual under [[0, 1], [0.5, 0]]
+        # kept the edge (0, 1) without the vertex (0,)
+        with pytest.raises(MonotonicityError):
+            TableBifiltration(
+                2, (0.0, 1.0), {(0,): (math.nan, 2.0), (1,): (1.0, 1.0)}
+            )
+
     def test_value_validation(self):
         with pytest.raises(DimensionMismatch):
             TableBifiltration(1, (0.0, 1.0), {(0,): (1.0,)})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -19,7 +20,7 @@ from dcech import (
     intrinsic_dc,
     write_staircase_table,
 )
-from dcech.cli import CHECK_SUPPORT_CAP, main
+from dcech.cli import main
 
 L3_POINTS = "x,y\n0,0\n1,0\n3,0\n"
 L3_MATRIX = "d1,d2,d3\n0,1,3\n1,0,2\n3,2,0\n"
@@ -274,6 +275,38 @@ class TestBadInput:
         assert stderr.count("\n") == 1
         assert os.listdir(tmp_path) == ["points.csv"]
 
+    @pytest.mark.parametrize(
+        "argv, text, where",
+        [
+            (["prohorov", "{f}", "{f}"], "x,y,w\n0,0,1\n1,0,inf\n", ":3: "),
+            (["build", "--input", "{f}", "--weights", "w"], "x,y,w\n0,0,1\n1,0,inf\n",
+             ":3: "),
+            (["build", "--input", "{f}"], "x,y\n0,0\nnan,1\n", ":3: "),
+            (["prohorov", "{f}", "{f}"], "x,y,w\n0,nan,1\n1,0,1\n", ":2: "),
+            (["prohorov", "{f}", "{f}", "--check", "nan"], "x,y,w\n0,0,1\n1,0,1\n",
+             "--check"),
+        ],
+        ids=["prohorov-inf-weight", "build-inf-weight", "build-nan-coordinate",
+             "prohorov-nan-coordinate", "prohorov-nan-check"],
+    )
+    def test_non_finite_input(self, tmp_path, monkeypatch, capsys, argv, text, where):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        code, stdout, stderr = run(capsys, [a.format(f=path) for a in argv])
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ") and where in stderr
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert os.listdir(tmp_path) == ["w.csv"]
+
+    def test_infinite_check_stays_accepted(self, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text("x,y,w\n0,0,1\n1,0,1\n")
+        code, stdout, stderr = run(capsys, ["prohorov", str(path), str(path),
+                                            "--check", "inf"])
+        assert (code, stdout, stderr) == (0, "pass: eps inf slack inf witness []\n", "")
+
     def test_infinite_parameters_stay_accepted(self, capsys, points_csv):
         for argv in (["m=-inf"], ["m=1", "--r-grid", "0,1,inf"], ["diag inf,0"]):
             code, stdout, stderr = run(capsys, ["slice", "--input", points_csv] + argv)
@@ -384,18 +417,39 @@ class TestProhorov:
         f1.write_text("\n".join(rows1) + "\n")
         return str(f0), str(f1)
 
-    def test_large_support_suggests_check(self, tmp_path, capsys):
+    def test_large_support_prints_the_distance(self, tmp_path, capsys):
+        # the total masses 20 and 21 differ by 1 at every threshold, and the
+        # points are 1 apart
         f0, f1 = self.write_large_pair(tmp_path)
-        code, _, stderr = run(capsys, ["prohorov", f0, f1])
-        assert code == 2
-        assert "use --check" in stderr
+        code, stdout, stderr = run(capsys, ["prohorov", f0, f1])
+        assert (code, stdout, stderr) == (0, "1.0\n", "")
 
     def test_large_support_check_still_works(self, tmp_path, capsys):
-        assert CHECK_SUPPORT_CAP >= 20
         f0, f1 = self.write_large_pair(tmp_path)
         code, stdout, _ = run(capsys, ["prohorov", f0, f1, "--check", "25"])
         assert code == 0
         assert stdout.startswith("pass:")
+
+    def test_forty_points_agree_with_the_check(self, tmp_path, capsys):
+        rng = random.Random(40)
+        points = [(rng.random(), rng.random()) for _ in range(40)]
+        files = []
+        for name in ("a.csv", "b.csv"):
+            rows = ["x,y,w"] + [f"{x!r},{y!r},{rng.randint(0, 8) / 64!r}"
+                                for x, y in points]
+            rows[1] = rows[1][: rows[1].rindex(",")] + ",0.125"
+            path = tmp_path / name
+            path.write_text("\n".join(rows) + "\n")
+            files.append(str(path))
+        code, stdout, stderr = run(capsys, ["prohorov", *files])
+        assert (code, stderr) == (0, "")
+        dist = float(stdout)
+        assert repr(dist) + "\n" == stdout and dist > 0.0
+        code, stdout, _ = run(capsys, ["prohorov", *files, "--check", repr(dist)])
+        assert code == 0 and stdout.startswith("pass:")
+        below = repr(math.nextafter(dist, -math.inf))
+        code, stdout, _ = run(capsys, ["prohorov", *files, "--check", below])
+        assert code == 1 and stdout.startswith(f"fail: eps {below} slack -")
 
 
 class TestExportFirep:

@@ -117,6 +117,11 @@ class TestDiscreteMeasure:
         with pytest.raises(EmptySupport):
             DiscreteMeasure((1.0, -0.5))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(EmptySupport):
+            DiscreteMeasure((1.0, bad))
+
     def test_restrict_reindexes(self):
         mu = DiscreteMeasure((1.0, 0.0, 2.5))
         assert mu.restrict([2, 0]).weights == (2.5, 1.0)

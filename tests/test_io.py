@@ -63,6 +63,14 @@ class TestLoadPlanarCsv:
             load_planar_csv(str(p))
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("row", ["nan,1,1", "0,inf,1", "0,1,-inf", "0,1,nan"])
+    def test_non_finite_field_carries_line_number(self, tmp_path, row):
+        p = tmp_path / "pts.csv"
+        p.write_text(f"x,y,w\n0,0,1\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_planar_csv(str(p), weight_col="w")
+        assert exc.value.line == 3
+
     def test_empty_and_headless(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

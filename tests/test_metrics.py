@@ -1,8 +1,9 @@
 """Prohorov distances, embeddings, projections, and interleaving checks.
 
 Prohorov values are cross-checked against the definitional feasibility-scan
-oracle; interleaving reports are exercised on pairs where the expected
-verdict is known by construction.
+oracle, and distances and checks against the subset enumeration that the
+max-flows replaced; interleaving reports are exercised on pairs where the
+expected verdict is known by construction.
 """
 
 import math
@@ -23,7 +24,6 @@ from dcech import (
     ForwardShift,
     IndexOutOfRange,
     NotDistancePreserving,
-    SupportTooLarge,
     check_projection_inequality,
     gp_upper_bound,
     intrinsic_dc,
@@ -39,7 +39,11 @@ from dcech import (
 )
 from dcech import ambient_dc_planar
 from dcech.instances import random_measure, random_metric_space
-from .oracles import prohorov_brute
+from .oracles import (
+    prohorov_brute,
+    prohorov_check_enumerated,
+    prohorov_distance_enumerated,
+)
 
 
 def line_space(xs):
@@ -84,18 +88,121 @@ class TestProhorovDistance:
             lib = prohorov_distance(space, mu0, mu1)
             assert lib == prohorov_brute(space.dist, mu0.weights, mu1.weights)
 
-    def test_support_cap(self):
+    def test_sixteen_point_counting_measure_against_itself(self):
         space = line_space(range(16))
         mu = DiscreteMeasure.counting(16)
-        with pytest.raises(SupportTooLarge):
-            prohorov_distance(space, mu, mu)
-        # a larger explicit cap admits the same instance
-        assert prohorov_distance(space, mu, mu, support_cap=16) == 0.0
+        assert prohorov_distance(space, mu, mu) == 0.0
+
+    def test_exact_tie_takes_the_least_maximizer(self):
+        # At t = 0, B = {1} and B = {0, 1} have the same exact deficit
+        # mu1(B) - mu0(B) = w = 2/7 as a float. The float sum of {0, 1} rounds
+        # (v + w) - v one ulp above w; the enumeration takes that larger
+        # float. The flow takes the least maximizer {1}, whose deficit w - 0.0
+        # is exact.
+        v, w = 0.1 + 5 / 7, 2 / 7
+        space = line_space([1, 0])
+        mu0, mu1 = DiscreteMeasure((v, 0.0)), DiscreteMeasure((v, w))
+        assert repr(prohorov_distance(space, mu0, mu1)) == "0.2857142857142857"
+        assert repr(prohorov_distance_enumerated(space, mu0, mu1)) == "0.2857142857142858"
+        at = prohorov_check(space, mu0, mu1, w)
+        assert (at.ok, at.worst_slack, at.witness_subset, at.direction) == (
+            True, 0.0, frozenset({1}), 1
+        )
 
     def test_requires_common_space(self, dirac_pair):
         space, d0, _ = dirac_pair
         with pytest.raises(DifferentSpaces):
             prohorov_distance(space, d0, DiscreteMeasure((1.0, 0.0, 0.0)))
+
+
+def _check_fields(check):
+    return (check.ok, repr(check.worst_slack), check.witness_subset, check.direction)
+
+
+def lattice_space(rng, n, side=4):
+    return FiniteMetricSpace.from_points(
+        [(rng.randint(0, side), rng.randint(0, side)) for _ in range(n)]
+    )
+
+
+def measures(weights):
+    return [DiscreteMeasure(tuple(w)) for w in weights]
+
+
+class TestProhorovAgainstEnumeration:
+    """Max-flows against the subset enumeration, compared by repr.
+
+    Each case compares the distance, and the check's verdict, slack, witness
+    and direction at eps below 0, at 0, at every finite distance, at the
+    Prohorov distance and one float below it.
+    """
+
+    def assert_agree(self, space, mu0, mu1):
+        dist = prohorov_distance(space, mu0, mu1)
+        assert repr(dist) == repr(prohorov_distance_enumerated(space, mu0, mu1))
+        finite = space.dist[np.isfinite(space.dist)]
+        eps_values = [-0.5, 0.0, dist, math.nextafter(dist, -math.inf)]
+        for eps in eps_values + sorted(set(finite.tolist())):
+            assert _check_fields(prohorov_check(space, mu0, mu1, eps)) == _check_fields(
+                prohorov_check_enumerated(space, mu0, mu1, eps)
+            ), eps
+
+    def test_sixty_fourths(self):
+        # every mass sum is exact, so the enumeration's float argmax is the
+        # least exact maximizer
+        rng = random.Random(64)
+        for n in (2, 5, 8, 10, 11, 12, 13, 13):
+            space = FiniteMetricSpace.from_points(
+                [(rng.random(), rng.random()) for _ in range(n)]
+            )
+            weights = [[rng.randint(0, 8) / 64 for _ in range(n)] for _ in range(2)]
+            for w in weights:
+                w[rng.randrange(n)] += 1 / 64
+            self.assert_agree(space, *measures(weights))
+
+    def test_random_measure_weights(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            space = random_metric_space(rng, n)
+            mu0 = random_measure(rng, n, zero_count=rng.randint(0, n - 1))
+            mu1 = random_measure(rng, n, zero_count=rng.randint(0, n - 1))
+            self.assert_agree(space, mu0, mu1)
+
+    def test_integer_weights(self):
+        rng = random.Random(22)
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            weights = [[float(rng.randint(0, 4)) for _ in range(n)] for _ in range(2)]
+            for w in weights:
+                w[rng.randrange(n)] += 1.0
+            self.assert_agree(lattice_space(rng, n), *measures(weights))
+
+    def test_zero_weight_points(self):
+        # points with no mass in either measure lie outside the union support,
+        # and points with mass in only one still sit on both sides of the flow
+        rng = random.Random(23)
+        for _ in range(30):
+            n = rng.randint(3, 9)
+            weights = [[rng.choice((0.0, 0.0, 0.25, 0.5, 1.0)) for _ in range(n)]
+                       for _ in range(2)]
+            for w in weights:
+                w[0] = 0.0
+                w[rng.randrange(1, n)] += 0.75
+            self.assert_agree(lattice_space(rng, n), *measures(weights))
+
+    def test_infinite_distances(self):
+        inf = math.inf
+        space = FiniteMetricSpace.from_matrix(
+            [[0, 1, inf, inf], [1, 0, inf, inf], [inf, inf, 0, 2], [inf, inf, 2, 0]]
+        )
+        rng = random.Random(24)
+        cases = [((1.0, 0.0, 0.5, 0.0), (0.0, 1.0, 0.0, 0.75))]
+        for _ in range(20):
+            cases.append(tuple(tuple(rng.randint(0, 3) / 4 + (i == 0)
+                                     for i in range(4)) for _ in range(2)))
+        for weights in cases:
+            self.assert_agree(space, *measures(weights))
 
 
 class TestProhorovCheck:
@@ -119,15 +226,14 @@ class TestProhorovCheck:
         space = FiniteMetricSpace.from_points([(0.0, 0.0), (5.0, 0.0)])
         cases = [(space, DiscreteMeasure((0.75, 0.25)), DiscreteMeasure((0.5, 0.5)))]
         rng = random.Random(11)
-        for _ in range(30):
-            n = rng.randint(2, 6)
-            space = FiniteMetricSpace.from_points(
-                [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(n)]
-            )
-            weights = [[rng.randint(0, 5) / 7.0 for _ in range(n)] for _ in range(2)]
-            for w in weights:
-                w[0] += 0.1
-            cases.append((space, *(DiscreteMeasure(tuple(w)) for w in weights)))
+        for den, count, n_max in ((7.0, 200, 6), (10.0, 600, 10), (3.0, 200, 10)):
+            for _ in range(count):
+                n = rng.randint(2, n_max)
+                space = lattice_space(rng, n)
+                weights = [[rng.randint(0, 5) / den for _ in range(n)] for _ in range(2)]
+                for w in weights:
+                    w[0] += 0.1
+                cases.append((space, *measures(weights)))
         for space, mu0, mu1 in cases:
             dist = prohorov_distance(space, mu0, mu1)
             at = prohorov_check(space, mu0, mu1, dist)
