@@ -16,8 +16,12 @@ every witness in it is heavy and their balls share a point. The nerve of f
 is only a subcomplex of that nerve (it asks the common ball itself to carry
 mass m), so the nerve of f and the dual can differ in homology.
 
-Ball memberships are cached as int bitmasks per sorted breakpoint level for
-f.value; the dual reads Lambda directly, as an upper envelope over witnesses.
+Degree values come in tables, one row per simplex and one column per radius:
+a radius is rounded down to the largest level (finite entry of Lambda) at or
+below it, a point is in sigma's common ball when the max over sigma of its
+Lambda entries is at most that level, and the ball's weights are added in
+point order. f.value is one cell of such a table. The dual reads Lambda
+directly, as an upper envelope over witnesses.
 """
 
 from __future__ import annotations
@@ -89,18 +93,32 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _radius_rows(count: int, rs: Sequence | np.ndarray) -> np.ndarray:
+    """rs as one row of radii per simplex: a single grid is shared by all."""
+    radii = np.asarray(rs, dtype=float)
+    if radii.ndim == 1:
+        return np.broadcast_to(radii, (count, radii.size))
+    if radii.ndim != 2 or radii.shape[0] != count:
+        raise DimensionMismatch("radii must be one grid or one row per simplex")
+    return radii
+
+
 @dataclass(frozen=True, eq=False)
 class DowkerDissimilarity:
     """A nonnegative |X| x |Y| dissimilarity matrix, entries may be inf.
 
     X indexes witnesses, Y indexes the vertex universe of dual complexes.
-    ``ball_mask(x, r)`` is the bitmask over Y of points with
-    Lambda(x, y) <= r; masks are cached per breakpoint level.
+    The Lambda-ball of x at radius r holds the points y with Lambda(x, y) at
+    most the threshold of r: the largest level (finite entry) at or below r,
+    -inf below the first level, and inf when r is infinite. A nan radius has
+    the last level as its threshold. ``ball_mask(x, r)`` is that ball as a
+    bitmask over Y.
     """
 
     matrix: np.ndarray
     _levels: tuple[float, ...] = field(init=False, repr=False)
-    _mask_cache: dict = field(init=False, repr=False, default_factory=dict)
+    _floors: np.ndarray = field(init=False, repr=False)  # -inf, then the levels
+    _padded: np.ndarray = field(init=False, repr=False)  # matrix, then a -inf row
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -112,6 +130,9 @@ class DowkerDissimilarity:
         object.__setattr__(self, "matrix", m)
         finite = sorted(set(float(v) for v in m.ravel() if math.isfinite(v)))
         object.__setattr__(self, "_levels", tuple(finite))
+        object.__setattr__(self, "_floors", np.array([-math.inf] + finite))
+        padded = np.vstack((m, np.full((1, m.shape[1]), -math.inf)))
+        object.__setattr__(self, "_padded", padded)
 
     @property
     def nx(self) -> int:
@@ -139,47 +160,35 @@ class DowkerDissimilarity:
         """Sorted distinct finite entries; the radii where balls can change."""
         return self._levels
 
-    def _level_of(self, r: float) -> int:
-        return bisect_right(self._levels, r)
+    def _thresholds(self, rs: np.ndarray) -> np.ndarray:
+        """The ball threshold of every radius in an array."""
+        # searchsorted, like bisect_right, puts nan after every level
+        floor = self._floors[np.searchsorted(self._floors[1:], rs, side="right")]
+        return np.where(np.isinf(rs), math.inf, floor)
 
-    def _masks_at_level(self, level: int) -> list[int]:
-        got = self._mask_cache.get(level)
-        if got is not None:
-            return got
-        if level == 0:
-            thr = -math.inf
-        else:
-            thr = self._levels[level - 1]
-        masks = []
-        for x in range(self.nx):
-            row = self.matrix[x]
-            mask = 0
-            for y in range(self.ny):
-                if row[y] <= thr:
-                    mask |= 1 << y
-            masks.append(mask)
-        self._mask_cache[level] = masks
-        return masks
+    def _enter(self, sigmas: Sequence[Sequence[int]]) -> np.ndarray:
+        """enter[i, y] is the max of Lambda(x, y) over x in sigmas[i].
+
+        y is in the common ball of sigmas[i] at r when enter[i, y] is at most
+        the threshold of r; the empty simplex has enter -inf, so its ball is
+        all of Y.
+        """
+        for sigma in sigmas:
+            for x in sigma:
+                if not 0 <= x < self.nx:
+                    raise IndexOutOfRange(f"witness index {x} not in [0, {self.nx})")
+        width = max(map(len, sigmas), default=0)
+        # short simplices are padded with the -inf row, which never wins the max
+        idx = [list(s) + [self.nx] * (width - len(s)) for s in sigmas]
+        rows = np.array(idx, dtype=np.intp).reshape(len(sigmas), width)
+        return self._padded[rows].max(axis=1, initial=-math.inf)
 
     def ball_mask(self, x: int, r: float) -> int:
-        if not 0 <= x < self.nx:
-            raise IndexOutOfRange(f"witness index {x} not in [0, {self.nx})")
-        if math.isinf(r):
-            return (1 << self.ny) - 1
-        return self._masks_at_level(self._level_of(r))[x]
+        return self.common_ball_mask((x,), r)
 
     def common_ball_mask(self, sigma: Iterable[int], r: float) -> int:
-        mask = (1 << self.ny) - 1
-        if math.isinf(r):
-            return mask
-        masks = self._masks_at_level(self._level_of(r))
-        for x in sigma:
-            if not 0 <= x < self.nx:
-                raise IndexOutOfRange(f"witness index {x} not in [0, {self.nx})")
-            mask &= masks[x]
-            if not mask:
-                break
-        return mask
+        inside = self._enter([list(sigma)])[0] <= self._thresholds(np.array(float(r)))
+        return _mask_of(np.flatnonzero(inside).tolist())
 
 
 class SetBifiltration:
@@ -193,6 +202,21 @@ class SetBifiltration:
 
     def value(self, sigma: Iterable[int], r: float) -> float:
         raise NotImplementedError
+
+    def table(
+        self, sigmas: Iterable[Iterable[int]], rs: Sequence | np.ndarray
+    ) -> np.ndarray:
+        """f(sigma, r) as a float array with one row per simplex of sigmas.
+
+        rs is one radius grid shared by every row, or one row of radii per
+        simplex. This default asks value() for every cell.
+        """
+        sigmas = [tuple(s) for s in sigmas]
+        radii = _radius_rows(len(sigmas), rs)
+        out = np.empty(radii.shape)
+        for i, row in enumerate(radii.tolist()):
+            out[i] = [self.value(sigmas[i], r) for r in row]
+        return out
 
     def r_breakpoints(self) -> tuple[float, ...]:
         raise NotImplementedError
@@ -209,17 +233,34 @@ class DegreeBifiltration(SetBifiltration):
         self.dowker = dowker
         self.measure = measure
         self.universe_size = dowker.nx
-        self._mass_cache: dict[int, float] = {0: 0.0}
+        # + 0.0 turns a -0.0 weight into 0.0, which a sum from 0.0 cannot tell apart
+        self._weights = np.array(measure.weights) + 0.0
 
-    def _mass(self, mask: int) -> float:
-        got = self._mass_cache.get(mask)
-        if got is None:
-            got = sum(self.measure.weights[y] for y in _bits(mask))
-            self._mass_cache[mask] = got
-        return got
+    def table(
+        self, sigmas: Iterable[Iterable[int]], rs: Sequence | np.ndarray
+    ) -> np.ndarray:
+        """Masses of the common balls, one row per simplex; see SetBifiltration.
+
+        Each mass adds the weights inside the ball in point order, from 0.0,
+        so it rounds like a plain left-to-right sum.
+        """
+        sigmas = [tuple(s) for s in sigmas]
+        radii = _radius_rows(len(sigmas), rs)
+        lam = self.dowker
+        thresholds = lam._thresholds(radii)
+        out = np.empty(radii.shape)
+        width = max(map(len, sigmas), default=0)
+        block = max(1, _DUAL_BLOCK_ELEMENTS // (lam.ny * max(width, radii.shape[1], 1)))
+        for lo in range(0, len(sigmas), block):
+            enter = lam._enter(sigmas[lo : lo + block])
+            inside = enter[:, None, :] <= thresholds[lo : lo + block, :, None]
+            # accumulate adds one point at a time, where a sum would pair them
+            masses = np.add.accumulate(np.where(inside, self._weights, 0.0), axis=2)
+            out[lo : lo + block] = masses[..., -1]
+        return out
 
     def value(self, sigma: Iterable[int], r: float) -> float:
-        return self._mass(self.dowker.common_ball_mask(sigma, r))
+        return float(self.table([sigma], [r])[0, 0])
 
     def r_breakpoints(self) -> tuple[float, ...]:
         return self.dowker.r_values()
@@ -374,8 +415,8 @@ def nerve_bifiltration(
     rs = sorted(set((0.0,) + tuple(f.r_breakpoints())))
     entries: dict[Simplex, Staircase] = {}
     for size in range(1, min(dim_cap + 2, n + 1)):
-        for sigma in combinations(range(n), size):
-            vals = [f.value(sigma, r) for r in rs]
+        sigmas = list(combinations(range(n), size))
+        for sigma, vals in zip(sigmas, f.table(sigmas, rs).tolist()):
             stair = Staircase.from_samples(rs, vals)
             assert stair is not None  # values are >= 0, never absent
             entries[tuple(ids[i] for i in sigma)] = stair
@@ -412,7 +453,7 @@ def dowker_dual(
     if nx == 0:  # no witness, so no simplex ever enters
         return BifilteredComplex(ids, {}, dim_cap)
     rs = np.array(sorted(set((0.0,) + dowker.r_values() + tuple(f.r_breakpoints()))))
-    values = np.array([[f.value((x,), r) for x in range(nx)] for r in rs.tolist()])
+    values = f.table([(x,) for x in range(nx)], rs).T
     entries: dict[Simplex, Staircase] = {}
     for size in range(1, min(dim_cap + 2, ny + 1)):
         taus = np.array(list(combinations(range(ny), size)))
@@ -561,7 +602,8 @@ def cover_nerve(
                     break
             if mask:
                 simplices.add(tau)
-    return SimplicialComplex(tuple(range(n)), frozenset(simplices))
+    # every face of tau keeps a superset of tau's ball, so the set is closed
+    return SimplicialComplex._trusted(tuple(range(n)), frozenset(simplices))
 
 
 def restrict_to_support(

@@ -31,6 +31,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidComplex,
     InvalidStaircase,
+    MetricError,
     NegativeDistanceError,
     NonMonotonePath,
     TriangleViolation,
@@ -115,6 +116,10 @@ class FiniteMetricSpace:
         c = np.asarray(coords, dtype=float)
         if c.ndim != 2:
             raise DimensionMismatch("coords must be a 2d array of points")
+        bad = np.flatnonzero(~np.isfinite(c).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            raise MetricError(f"point {i} has a non-finite coordinate: {c[i].tolist()}")
         if c.shape[1] == 2:
             # math.hypot everywhere: planar witness radii are derived from the
             # same call, so matrix and geometry agree to the last bit
@@ -189,17 +194,12 @@ def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> None:
                         f"d({i},{j}) = {d[i, j]} but d({j},{i}) = {d[j, i]}"
                     )
     for k in range(n):
-        row = d[k]
-        for i in range(n):
-            dik = d[i, k]
-            if math.isinf(dik):
-                continue
-            for j in range(n):
-                rhs = dik + row[j]
-                if math.isinf(rhs):
-                    continue
-                if d[i, j] > rhs + tol:
-                    raise TriangleViolation(i, k, j, float(d[i, j]), float(rhs))
+        # an infinite right-hand side is never exceeded, so it needs no skip
+        rhs = d[:, k, None] + d[k]
+        bad = np.flatnonzero(d > rhs + tol)
+        if bad.size:  # the first (i, j) in row order, as a loop over i, j meets it
+            i, j = divmod(int(bad[0]), n)
+            raise TriangleViolation(i, k, j, float(d[i, j]), float(rhs[i, j]))
     if space.coords is not None:
         c = space.coords
         for i in range(n):
@@ -322,6 +322,17 @@ class SimplicialComplex:
                         raise InvalidComplex(
                             f"missing face {face} of {s}: not downward closed"
                         )
+
+    @classmethod
+    def _trusted(
+        cls, universe: tuple[int, ...], simplices: frozenset[Simplex]
+    ) -> "SimplicialComplex":
+        """A complex from a sorted universe and sorted simplices that a builder
+        made downward closed by construction; nothing is checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "universe", universe)
+        object.__setattr__(out, "simplices", simplices)
+        return out
 
     @classmethod
     def from_simplices(

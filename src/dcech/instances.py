@@ -37,19 +37,18 @@ def random_planar_space(rng: random.Random, n: int, scale: float = 1.0) -> Finit
 
 def _closure_to_fixpoint(d: np.ndarray) -> None:
     # repeat until no float changes; one pass is not enough because rounding
-    # can reopen a triangle that an earlier update closed
-    n = d.shape[0]
+    # can reopen a triangle that an earlier update closed. Row and column k
+    # hold still during pass k (the diagonal is 0), so one array step per k
+    # makes the same updates as a loop over i and j
     changed = True
     while changed:
         changed = False
-        for k in range(n):
-            for i in range(n):
-                dik = d[i, k]
-                for j in range(n):
-                    v = dik + d[k, j]
-                    if v < d[i, j]:
-                        d[i, j] = v
-                        changed = True
+        for k in range(d.shape[0]):
+            v = d[:, k, None] + d[k]
+            better = v < d  # not np.minimum, which may pick -0.0 over 0.0
+            if better.any():
+                d[better] = v[better]
+                changed = True
 
 
 def random_metric_space(

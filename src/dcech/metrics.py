@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -371,22 +371,25 @@ def _simplices(n: int, dim_cap: int):
         yield from combinations(range(n), size)
 
 
-def _condition(
-    label: str,
-    sigmas,
-    rs: Sequence[float],
-    lhs: Callable[[Simplex, float], float],
-    rhs: Callable[[Simplex, float], float],
+def _union(pi_a: Sequence[int], pi_b: Sequence[int], sigma: Simplex) -> Simplex:
+    """sigma joined with its round trip: pi_a first, then pi_b."""
+    return tuple(sorted(set(sigma) | set(_image(pi_b, _image(pi_a, sigma)))))
+
+
+def _worst(
+    label: str, sigmas: list[Simplex], rs: list[float], lhs: np.ndarray, rhs: np.ndarray
 ) -> ConditionSlack:
-    slack = math.inf
-    witness = None
-    for sigma in sigmas:
-        for r in rs:
-            s = _diff(rhs(sigma, r), lhs(sigma, r))
-            if s < slack:
-                slack = s
-                witness = (sigma, r)
-    return ConditionSlack(label, slack, witness)
+    """The least slack rhs - lhs over the (sigma, r) cells, at its first cell."""
+    with np.errstate(invalid="ignore"):
+        slack = rhs - lhs
+    slack[np.isnan(slack)] = 0.0  # inf on both sides: holds with no margin
+    if slack.size == 0:
+        return ConditionSlack(label, math.inf, None)
+    i, j = divmod(int(np.argmin(slack)), len(rs))  # argmin keeps the first minimum
+    worst = float(slack[i, j])
+    if worst == math.inf:
+        return ConditionSlack(label, worst, None)
+    return ConditionSlack(label, worst, (sigmas[i], rs[j]))
 
 
 def verify_set_interleaving_eps(
@@ -409,47 +412,59 @@ def verify_set_interleaving_eps(
     _check_map(pi1, n0, n1, "pi1")
     _check_map(pi0, n1, n0, "pi0")
     rs = sorted(set(float(r) for r in r_grid))
+    grid = np.array(rs)
     sig0 = list(_simplices(n0, dim_cap))
     sig1 = list(_simplices(n1, dim_cap))
+    v0 = f0.table(sig0, grid)
+    v1 = f1.table(sig1, grid)
     conds = (
-        _condition(
+        _worst(
             "value under pi1",
             sig0,
             rs,
-            lambda s, r: f0.value(s, r),
-            lambda s, r: f1.value(_image(pi1, s), r + eps) + eps,
+            v0,
+            f1.table([_image(pi1, s) for s in sig0], grid + eps) + eps,
         ),
-        _condition(
+        _worst(
             "value under pi0",
             sig1,
             rs,
-            lambda s, r: f1.value(s, r),
-            lambda s, r: f0.value(_image(pi0, s), r + eps) + eps,
+            v1,
+            f0.table([_image(pi0, s) for s in sig1], grid + eps) + eps,
         ),
-        _condition(
+        _worst(
             "union with pi0 pi1",
             sig0,
             rs,
-            lambda s, r: f0.value(s, r),
-            lambda s, r: f0.value(
-                tuple(sorted(set(s) | set(_image(pi0, _image(pi1, s))))),
-                r + 2.0 * eps,
-            )
-            + 2.0 * eps,
+            v0,
+            f0.table([_union(pi1, pi0, s) for s in sig0], grid + 2.0 * eps) + 2.0 * eps,
         ),
-        _condition(
+        _worst(
             "union with pi1 pi0",
             sig1,
             rs,
-            lambda s, r: f1.value(s, r),
-            lambda s, r: f1.value(
-                tuple(sorted(set(s) | set(_image(pi1, _image(pi0, s))))),
-                r + 2.0 * eps,
-            )
-            + 2.0 * eps,
+            v1,
+            f1.table([_union(pi0, pi1, s) for s in sig1], grid + 2.0 * eps) + 2.0 * eps,
         ),
     )
     return InterleavingReport(conds)
+
+
+def _shifted(
+    label: str,
+    values: list[list[float]],
+    f_dst: SetBifiltration,
+    shift: ForwardShift,
+    sigmas: list[Simplex],
+    images: list[Simplex],
+    rs: list[float],
+) -> ConditionSlack:
+    """The shift moves the source value at each (sigma, r) to a point
+    (m2, r2); the condition asks f_dst(image of sigma, r2) >= m2."""
+    moved = [[shift(v, r) for v, r in zip(row, rs)] for row in values]
+    target = np.array(moved, dtype=float).reshape(len(sigmas), len(rs), 2)
+    lhs, r2 = target[..., 0], target[..., 1]
+    return _worst(label, sigmas, rs, lhs, f_dst.table(images, r2))
 
 
 def verify_set_interleaving_shift(
@@ -482,61 +497,24 @@ def verify_set_interleaving_shift(
     ba = beta.then(alpha)
     comp1 = ba if swap_composites else ab  # f1-side union condition
     comp0 = ab if swap_composites else ba
-
-    def lhs_shift(f, shift):
-        def lhs(s, r):
-            return shift(f.value(s, r), r)[0]
-
-        return lhs
-
-    def rhs_shift(f_src, f_dst, shift, img):
-        # The shift transports f_src's value at (s, r) to a target point
-        # (m2, r2); the inequality compares m2 against f_dst at the image.
-        def rhs(s, r):
-            m2, r2 = shift(f_src.value(s, r), r)
-            del m2
-            return f_dst.value(img(s), r2)
-
-        return rhs
-
+    v0 = f0.table(sig0, rs).tolist()
+    v1 = f1.table(sig1, rs).tolist()
     conds = (
-        _condition(
+        _shifted(
             "shifted value under pi0",
-            sig1,
-            rs,
-            lhs_shift(f1, alpha),
-            rhs_shift(f1, f0, alpha, lambda s: _image(pi0, s)),
+            v1, f0, alpha, sig1, [_image(pi0, s) for s in sig1], rs,
         ),
-        _condition(
+        _shifted(
             "shifted value under pi1",
-            sig0,
-            rs,
-            lhs_shift(f0, beta),
-            rhs_shift(f0, f1, beta, lambda s: _image(pi1, s)),
+            v0, f1, beta, sig0, [_image(pi1, s) for s in sig0], rs,
         ),
-        _condition(
+        _shifted(
             "shifted union with pi1 pi0",
-            sig1,
-            rs,
-            lhs_shift(f1, comp1),
-            rhs_shift(
-                f1,
-                f1,
-                comp1,
-                lambda s: tuple(sorted(set(s) | set(_image(pi1, _image(pi0, s))))),
-            ),
+            v1, f1, comp1, sig1, [_union(pi0, pi1, s) for s in sig1], rs,
         ),
-        _condition(
+        _shifted(
             "shifted union with pi0 pi1",
-            sig0,
-            rs,
-            lhs_shift(f0, comp0),
-            rhs_shift(
-                f0,
-                f0,
-                comp0,
-                lambda s: tuple(sorted(set(s) | set(_image(pi0, _image(pi1, s))))),
-            ),
+            v0, f0, comp0, sig0, [_union(pi1, pi0, s) for s in sig0], rs,
         ),
     )
     return InterleavingReport(conds)

@@ -8,7 +8,10 @@ dissimilarity matrix instead of cached ball masks, the Prohorov distance from a
 definition-level feasibility scan and, with its check, from enumerating every
 support subset instead of max-flows, and the bottleneck distance from exhaustive matchings, and the Dowker dual from a scan
 over radii and witnesses with int ball masks instead of one numpy envelope
-over witnesses. Geometric primitives (midpoint,
+over witnesses. Degree values come from per-level int ball masks and a sum
+over their bits instead of one numpy table per batch, interleaving reports
+from a loop over (simplex, radius) pairs, and the metric closure and
+triangle check from loops over (k, i, j). Geometric primitives (midpoint,
 circumcenter, point distance) are shared formula-for-formula with the library
 on purpose: exact set-equality checks at breakpoints need the two sides to
 round identically, and the value of the oracle is the independent search, not
@@ -20,16 +23,26 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
+from functools import reduce
 from itertools import combinations, permutations
+from operator import add
 
 import numpy as np
 
 from dcech import (
+    AsymmetryError,
     BifilteredComplex,
+    ConditionSlack,
+    CoordMismatch,
     DifferentSpaces,
     DimensionMismatch,
+    IndexOutOfRange,
+    InterleavingReport,
+    NegativeDistanceError,
     ProhorovCheck,
+    SetBifiltration,
     Staircase,
+    TriangleViolation,
 )
 
 Point = tuple[float, float]
@@ -310,6 +323,224 @@ def dowker_dual_reference(dowker, f, dim_cap: int = 3, y_ids=None) -> Bifiltered
             if stair is not None:
                 entries[tuple(ids[i] for i in tau)] = stair
     return BifilteredComplex(ids, entries, dim_cap)
+
+
+# ---------------------------------------------------------------------------
+# Degree values from per-level int ball masks
+# ---------------------------------------------------------------------------
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class DegreeReference(SetBifiltration):
+    """The degree bifiltration as the library computed it from int bitmasks.
+
+    A radius is rounded down to the largest level (finite matrix entry) at
+    or below it; the ball of x at that level is the bitmask of the y with
+    matrix[x, y] <= level. An infinite radius takes every point. The mass of
+    a common ball adds its weights over the mask's bits, lowest first, from
+    0.0 (sum() is not used: it compensates from Python 3.12 on).
+    """
+
+    def __init__(self, matrix, weights) -> None:
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.weights = tuple(float(w) for w in weights)
+        self.universe_size = self.matrix.shape[0]
+        self.levels = tuple(
+            sorted(set(float(v) for v in self.matrix.ravel() if math.isfinite(v)))
+        )
+
+    def common_ball_mask(self, sigma, r: float) -> int:
+        nx, ny = self.matrix.shape
+        mask = (1 << ny) - 1
+        for x in sigma:
+            if not 0 <= x < nx:
+                raise IndexOutOfRange(f"witness index {x} not in [0, {nx})")
+        if math.isinf(r):
+            return mask
+        level = bisect_right(self.levels, r)
+        thr = -math.inf if level == 0 else self.levels[level - 1]
+        for x in sigma:
+            row = self.matrix[x]
+            mask &= _mask_of(y for y in range(ny) if row[y] <= thr)
+        return mask
+
+    def value(self, sigma, r: float) -> float:
+        mask = self.common_ball_mask(sigma, r)
+        return reduce(add, (self.weights[y] for y in _bits(mask)), 0.0)
+
+    def r_breakpoints(self) -> tuple[float, ...]:
+        return self.levels
+
+
+# ---------------------------------------------------------------------------
+# Interleaving reports by a loop over (simplex, radius) pairs
+# ---------------------------------------------------------------------------
+# The library's former bodies: each condition calls two functions of
+# (sigma, r) per pair and keeps the first strictly smaller slack.
+
+
+def _diff(rhs: float, lhs: float) -> float:
+    s = rhs - lhs
+    return 0.0 if math.isnan(s) else s
+
+
+def _image(pi, sigma):
+    return tuple(sorted(set(pi[v] for v in sigma)))
+
+
+def _union(pi_a, pi_b, sigma):
+    return tuple(sorted(set(sigma) | set(_image(pi_b, _image(pi_a, sigma)))))
+
+
+def _simplices(n: int, dim_cap: int):
+    for size in range(1, min(dim_cap + 2, n + 1)):
+        yield from combinations(range(n), size)
+
+
+def _condition(label, sigmas, rs, lhs, rhs) -> ConditionSlack:
+    slack = math.inf
+    witness = None
+    for sigma in sigmas:
+        for r in rs:
+            s = _diff(rhs(sigma, r), lhs(sigma, r))
+            if s < slack:
+                slack = s
+                witness = (sigma, r)
+    return ConditionSlack(label, slack, witness)
+
+
+def set_interleaving_eps_reference(f0, f1, pi1, pi0, eps, r_grid, dim_cap=3):
+    rs = sorted(set(float(r) for r in r_grid))
+    sig0 = list(_simplices(f0.universe_size, dim_cap))
+    sig1 = list(_simplices(f1.universe_size, dim_cap))
+    return InterleavingReport(
+        (
+            _condition(
+                "value under pi1", sig0, rs,
+                lambda s, r: f0.value(s, r),
+                lambda s, r: f1.value(_image(pi1, s), r + eps) + eps,
+            ),
+            _condition(
+                "value under pi0", sig1, rs,
+                lambda s, r: f1.value(s, r),
+                lambda s, r: f0.value(_image(pi0, s), r + eps) + eps,
+            ),
+            _condition(
+                "union with pi0 pi1", sig0, rs,
+                lambda s, r: f0.value(s, r),
+                lambda s, r: f0.value(_union(pi1, pi0, s), r + 2.0 * eps) + 2.0 * eps,
+            ),
+            _condition(
+                "union with pi1 pi0", sig1, rs,
+                lambda s, r: f1.value(s, r),
+                lambda s, r: f1.value(_union(pi0, pi1, s), r + 2.0 * eps) + 2.0 * eps,
+            ),
+        )
+    )
+
+
+def set_interleaving_shift_reference(
+    f0, f1, pi1, pi0, alpha, beta, r_grid, dim_cap=3, swap_composites=False
+):
+    rs = sorted(set(float(r) for r in r_grid))
+    sig0 = list(_simplices(f0.universe_size, dim_cap))
+    sig1 = list(_simplices(f1.universe_size, dim_cap))
+    ab = alpha.then(beta)
+    ba = beta.then(alpha)
+    comp1 = ba if swap_composites else ab
+    comp0 = ab if swap_composites else ba
+
+    def lhs(f, shift):
+        return lambda s, r: shift(f.value(s, r), r)[0]
+
+    def rhs(f_src, f_dst, shift, img):
+        return lambda s, r: f_dst.value(img(s), shift(f_src.value(s, r), r)[1])
+
+    return InterleavingReport(
+        (
+            _condition(
+                "shifted value under pi0", sig1, rs,
+                lhs(f1, alpha), rhs(f1, f0, alpha, lambda s: _image(pi0, s)),
+            ),
+            _condition(
+                "shifted value under pi1", sig0, rs,
+                lhs(f0, beta), rhs(f0, f1, beta, lambda s: _image(pi1, s)),
+            ),
+            _condition(
+                "shifted union with pi1 pi0", sig1, rs,
+                lhs(f1, comp1), rhs(f1, f1, comp1, lambda s: _union(pi0, pi1, s)),
+            ),
+            _condition(
+                "shifted union with pi0 pi1", sig0, rs,
+                lhs(f0, comp0), rhs(f0, f0, comp0, lambda s: _union(pi1, pi0, s)),
+            ),
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# Metric closure and validation by loops over (k, i, j)
+# ---------------------------------------------------------------------------
+
+
+def closure_to_fixpoint_reference(d: np.ndarray) -> None:
+    """Shortest-path relaxation in place, repeated until no float changes."""
+    n = d.shape[0]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            for i in range(n):
+                dik = d[i, k]
+                for j in range(n):
+                    v = dik + d[k, j]
+                    if v < d[i, j]:
+                        d[i, j] = v
+                        changed = True
+
+
+def validate_metric_reference(space, tol: float = 1e-9) -> None:
+    """Symmetry, nonnegativity, zero diagonal, triangle inequality and
+    coordinates, checked one entry at a time; raises the first violation."""
+    d = space.dist
+    n = space.n
+    for i in range(n):
+        if d[i, i] != 0.0:
+            raise NegativeDistanceError(f"d({i},{i}) = {d[i, i]} is not zero")
+        for j in range(i + 1, n):
+            if d[i, j] < 0 or d[j, i] < 0:
+                raise NegativeDistanceError(f"d({i},{j}) is negative")
+            if not math.isclose(d[i, j], d[j, i], rel_tol=0.0, abs_tol=tol):
+                if not (math.isinf(d[i, j]) and math.isinf(d[j, i])):
+                    raise AsymmetryError(
+                        f"d({i},{j}) = {d[i, j]} but d({j},{i}) = {d[j, i]}"
+                    )
+    for k in range(n):
+        row = d[k]
+        for i in range(n):
+            dik = d[i, k]
+            if math.isinf(dik):
+                continue
+            for j in range(n):
+                rhs = dik + row[j]
+                if math.isinf(rhs):
+                    continue
+                if d[i, j] > rhs + tol:
+                    raise TriangleViolation(i, k, j, float(d[i, j]), float(rhs))
+    if space.coords is not None:
+        c = space.coords
+        for i in range(n):
+            for j in range(n):
+                dd = math.hypot(*(c[i] - c[j])) if c.shape[1] == 2 else float(
+                    np.linalg.norm(c[i] - c[j])
+                )
+                if abs(dd - d[i, j]) > tol:
+                    raise CoordMismatch(
+                        f"coords give d({i},{j}) = {dd}, matrix says {d[i, j]}"
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ The workhorse is L3: three collinear points at x = 0, 1, 3 with the counting
 measure. All expected masses, staircases, and Betti numbers below were
 computed by hand from the distance matrix [[0,1,3],[1,0,2],[3,2,0]].
 Seeded random instances compare ``dowker_dual`` with the scan over witnesses
-in oracles.py.
+in oracles.py, and degree tables and values with the int-bitmask reference
+there.
 """
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -40,9 +42,9 @@ from dcech import (
     rectangle_complex,
     restrict_to_support,
 )
-from dcech.instances import random_dowker, random_measure
+from dcech.instances import random_dowker, random_measure, random_metric_space
 
-from .oracles import dowker_dual_reference
+from .oracles import DegreeReference, dowker_dual_reference
 
 
 @pytest.fixture
@@ -368,6 +370,130 @@ class TestDowkerDualAgainstReference:
                 assert repr(got.entries[sigma]) == repr(stair), sigma
 
 
+def _table_instances(rng):
+    """Degree bifiltrations with float, counting and zero weights, some
+    infinite entries, and enough ball points (up to 12) that adding the
+    weights in another order changes the last bits of some masses."""
+    for kind in ("float", "counting", "zeros", "float", "inf"):
+        nx, ny = rng.randint(1, 5), rng.randint(1, 12)
+        if kind in ("float", "inf"):
+            measure = random_measure(rng, ny)
+        elif kind == "counting":
+            measure = DiscreteMeasure.counting(ny)
+        else:
+            measure = random_measure(rng, ny, zero_count=rng.randint(0, ny - 1))
+        matrix = random_dowker(rng, nx, ny).matrix.copy()
+        if kind == "inf":
+            matrix[rng.randrange(nx), rng.randrange(ny)] = math.inf
+            matrix[rng.randrange(nx)] = math.inf
+        yield DowkerDissimilarity(matrix), measure
+
+
+def _radii(levels, rng):
+    """Every level and the gaps between, one float below a level, and the
+    edge radii: signed zeros and infinities, nan, -1 and 1e300."""
+    rs = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 1e300]
+    rs += list(levels)
+    rs += [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
+    rs += [math.nextafter(v, -math.inf) for v in rng.sample(levels, min(3, len(levels)))]
+    return rs
+
+
+def _sigmas(nx):
+    # the empty simplex, every simplex up to 3 witnesses, and two that are
+    # not normalised: out of order and with a repeat
+    sigmas = [()] + [s for k in (1, 2, 3) for s in combinations(range(nx), k)]
+    return sigmas + [tuple(range(nx))[::-1], (0, 0)]
+
+
+class TestDegreeTableAgainstReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_grid(self, seed):
+        rng = random.Random(seed)
+        for dowker, measure in _table_instances(rng):
+            f = DegreeBifiltration(dowker, measure)
+            ref = DegreeReference(dowker.matrix, measure.weights)
+            sigmas = _sigmas(dowker.nx)
+            rs = _radii(dowker.r_values(), rng)
+            want = [[ref.value(s, r) for r in rs] for s in sigmas]
+            assert repr(f.table(sigmas, rs).tolist()) == repr(want)
+            for s, row in zip(sigmas, want):
+                assert repr([f.value(s, r) for r in rs]) == repr(row), s
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row_of_radii_per_simplex(self, seed):
+        rng = random.Random(100 + seed)
+        for dowker, measure in _table_instances(rng):
+            f = DegreeBifiltration(dowker, measure)
+            ref = DegreeReference(dowker.matrix, measure.weights)
+            sigmas = _sigmas(dowker.nx)
+            pool = _radii(dowker.r_values(), rng)
+            rows = [[rng.choice(pool) for _ in range(6)] for _ in sigmas]
+            want = [[ref.value(s, r) for r in row] for s, row in zip(sigmas, rows)]
+            assert repr(f.table(sigmas, rows).tolist()) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_ball_masks(self, seed):
+        rng = random.Random(200 + seed)
+        for dowker, measure in _table_instances(rng):
+            ref = DegreeReference(dowker.matrix, measure.weights)
+            for r in _radii(dowker.r_values(), rng):
+                for s in _sigmas(dowker.nx):
+                    assert dowker.common_ball_mask(s, r) == ref.common_ball_mask(s, r)
+                for x in range(dowker.nx):
+                    assert dowker.ball_mask(x, r) == ref.common_ball_mask((x,), r)
+
+    def test_blocks_match_one_row_at_a_time(self):
+        # enough simplices x radii x points to need several blocks
+        rng = random.Random(7)
+        space = random_metric_space(rng, 14)
+        dowker = DowkerDissimilarity.from_metric(space)
+        f = DegreeBifiltration(dowker, random_measure(rng, 14))
+        sigmas = list(combinations(range(14), 3))
+        rs = sorted(set((0.0,) + f.r_breakpoints()))
+        got = f.table(sigmas, rs)
+        assert len(sigmas) * len(rs) * 14 > 4 * (1 << 15)
+        for i in rng.sample(range(len(sigmas)), 20):
+            assert got[i].tolist() == f.table([sigmas[i]], rs)[0].tolist()
+
+    def test_bad_witness_index_raises(self, l3_counting):
+        dowker, f = l3_counting
+        for sigma in ((3,), (-1,), (0, 3), (2, -1)):
+            for r in (0.0, 2.5, math.inf, -math.inf, math.nan):
+                with pytest.raises(IndexOutOfRange):
+                    f.value(sigma, r)
+                with pytest.raises(IndexOutOfRange):
+                    f.table([(0,), sigma], [r])
+                with pytest.raises(IndexOutOfRange):
+                    dowker.common_ball_mask(sigma, r)
+        with pytest.raises(IndexOutOfRange):
+            dowker.ball_mask(-1, 1.0)
+
+    def test_radius_rows_must_match_the_simplices(self, l3_counting):
+        _, f = l3_counting
+        with pytest.raises(DimensionMismatch):
+            f.table([(0,), (1,)], [[0.0, 1.0]])
+        assert f.table([], [0.0, 1.0]).shape == (0, 2)
+        assert f.table([(0,)], []).shape == (1, 0)
+
+    def test_other_bifiltrations_use_value(self, l3):
+        dowker = DowkerDissimilarity.from_metric(l3)
+        dtm = DistanceToMeasureBifiltration(dowker, DiscreteMeasure((0.5, 2.0, 0.25)), 2.0)
+        table = TableBifiltration(
+            3,
+            (0.0, 1.0, 2.0),
+            {(0,): (1.0, 2.0, 3.0), (1,): (0.5, 1.0, 3.0), (0, 1): (0.0, 1.0, 2.0)},
+        )
+        sigmas = [(0,), (1,), (2,), (0, 1), (0, 1, 2)]
+        rs = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, math.inf]
+        rows = [rs[::-1]] * len(sigmas)
+        for f in (dtm, table):
+            want = [[f.value(s, r) for r in rs] for s in sigmas]
+            assert repr(f.table(sigmas, rs).tolist()) == repr(want)
+            want = [[f.value(s, r) for r in row] for s, row in zip(sigmas, rows)]
+            assert repr(f.table(sigmas, rows).tolist()) == repr(want)
+
+
 class TestIntrinsicAndAmbient:
     def test_intrinsic_l3_counting(self, l3):
         K = intrinsic_dc(l3, DiscreteMeasure.counting(3))
@@ -434,6 +560,25 @@ class TestMeasurePointsAndCoverNerve:
         for m, r in [(1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 2.0), (3.0, 3.0)]:
             nerve = cover_nerve(l3, mu, m, r)
             assert nerve.simplices == A.complex_at(m, r).simplices, (m, r)
+
+
+class TestCoverNerveIsDownwardClosed:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_public_constructor_accepts_it(self, seed):
+        # cover_nerve skips the downward-closure check; rebuild each result
+        # through the validating constructor
+        rng = random.Random(seed)
+        for _ in range(4):
+            n = rng.randint(3, 8)
+            space = random_metric_space(rng, n)
+            mu = random_measure(rng, n, zero_count=rng.randint(0, 2))
+            levels = sorted(set(space.dist.ravel().tolist()))
+            for r in rng.sample(levels, min(4, len(levels))):
+                m = rng.uniform(0.0, mu.total)
+                nerve = cover_nerve(space, mu, m, r, rng.randint(1, 3))
+                again = SimplicialComplex(nerve.universe, nerve.simplices)
+                assert again.universe == nerve.universe == tuple(range(n))
+                assert again.simplices == nerve.simplices
 
 
 class TestRestrictAndReindex:

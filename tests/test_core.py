@@ -17,6 +17,7 @@ from dcech import (
     ForwardShift,
     InvalidComplex,
     InvalidStaircase,
+    MetricError,
     MonotonePath,
     NegativeDistanceError,
     NonMonotonePath,
@@ -31,6 +32,9 @@ from dcech import (
     validate_forward_shift,
     validate_metric,
 )
+from dcech.instances import _closure_to_fixpoint
+
+from .oracles import closure_to_fixpoint_reference, validate_metric_reference
 
 L3 = FiniteMetricSpace.from_points([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
 S4 = FiniteMetricSpace.from_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -94,6 +98,61 @@ class TestFiniteMetricSpace:
         )
         with pytest.raises(CoordMismatch):
             validate_metric(space)
+
+
+    @pytest.mark.parametrize(
+        "coords", [[(0, 0), (math.nan, 1)], [(0, 0), (1, math.inf)], [(0, 0, -math.inf)]]
+    )
+    def test_from_points_rejects_non_finite_coordinates(self, coords):
+        bad = len(coords) - 1
+        with pytest.raises(MetricError, match=f"^point {bad} has a non-finite coordinate"):
+            FiniteMetricSpace.from_points(coords)
+
+
+def _random_matrix(rng, n):
+    """Symmetric, zero diagonal; half the time from four values, which makes
+    many sums tie."""
+    d = np.zeros((n, n))
+    ties = rng.random() < 0.5
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = rng.choice((0.25, 0.5, 0.75, 1.0)) if ties else rng.uniform(0.1, 1.0)
+            d[i, j] = d[j, i] = v
+    return d
+
+
+class TestClosureAndTriangleCheck:
+    def test_closure_matches_the_loop(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            d = _random_matrix(rng, rng.choice((2, 3, 4, 5, 8, 12, 16, 25)))
+            want = d.copy()
+            closure_to_fixpoint_reference(want)
+            _closure_to_fixpoint(d)
+            assert d.tobytes() == want.tobytes()  # bitwise, signed zeros included
+
+    def test_validate_metric_raises_what_the_loop_raises(self):
+        rng = random.Random(4)
+        for trial in range(80):
+            n = rng.randint(2, 12)
+            d = _random_matrix(rng, n)
+            if trial % 3:
+                _closure_to_fixpoint(d)
+            if trial % 4 == 0:  # a disconnected pair
+                i, j = rng.sample(range(n), 2)
+                d[i, j] = d[j, i] = math.inf
+            space = FiniteMetricSpace(d)
+            tol = rng.choice((0.0, 1e-9, 0.2))
+            got = want = None
+            try:
+                validate_metric(space, tol)
+            except TriangleViolation as exc:
+                got = (exc.witness, exc.lhs, exc.rhs, str(exc))
+            try:
+                validate_metric_reference(space, tol)
+            except TriangleViolation as exc:
+                want = (exc.witness, exc.lhs, exc.rhs, str(exc))
+            assert repr(got) == repr(want)
 
 
 class TestDiscreteMeasure:

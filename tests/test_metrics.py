@@ -3,7 +3,8 @@
 Prohorov values are cross-checked against the definitional feasibility-scan
 oracle, and distances and checks against the subset enumeration that the
 max-flows replaced; interleaving reports are exercised on pairs where the
-expected verdict is known by construction.
+expected verdict is known by construction, and compared with the loop over
+(simplex, radius) pairs that the degree tables replaced.
 """
 
 import math
@@ -24,6 +25,7 @@ from dcech import (
     ForwardShift,
     IndexOutOfRange,
     NotDistancePreserving,
+    TableBifiltration,
     check_projection_inequality,
     gp_upper_bound,
     intrinsic_dc,
@@ -40,7 +42,10 @@ from dcech import (
 from dcech import ambient_dc_planar
 from dcech.instances import random_measure, random_metric_space
 from .oracles import (
+    DegreeReference,
     prohorov_brute,
+    set_interleaving_eps_reference,
+    set_interleaving_shift_reference,
     prohorov_check_enumerated,
     prohorov_distance_enumerated,
 )
@@ -410,6 +415,124 @@ class TestSetInterleavingShift:
             f, f, (0, 1, 2), (0, 1, 2), shift, shift, [0.0, 1.0], swap_composites=True
         )
         assert len(a.conditions) == 4
+
+
+def _interleaving_pairs(rng):
+    """Pairs of degree bifiltrations, each with its int-bitmask reference,
+    and random vertex maps: float, counting and zero weights."""
+    for kind in ("counting", "float", "zeros", "counting", "float"):
+        pair = []
+        for _ in range(2):
+            n = rng.randint(2, 5)
+            space = random_metric_space(rng, n)
+            if kind == "counting":
+                mu = DiscreteMeasure.counting(n)
+            else:
+                zeros = rng.randint(0, n - 1) if kind == "zeros" else 0
+                mu = random_measure(rng, n, zero_count=zeros)
+            dowker = DowkerDissimilarity.from_metric(space)
+            ref = DegreeReference(dowker.matrix, mu.weights)
+            pair.append((DegreeBifiltration(dowker, mu), ref))
+        (f0, ref0), (f1, ref1) = pair
+        pi1 = tuple(rng.randrange(f1.universe_size) for _ in range(f0.universe_size))
+        pi0 = tuple(rng.randrange(f0.universe_size) for _ in range(f1.universe_size))
+        rs = sorted({0.0, *f0.r_breakpoints(), *f1.r_breakpoints()})
+        rs += [-0.0, math.inf, rs[-1] / 3.0]
+        yield f0, f1, ref0, ref1, pi1, pi0, rs
+
+
+class TestInterleavingAgainstReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eps(self, seed):
+        rng = random.Random(seed)
+        for f0, f1, ref0, ref1, pi1, pi0, rs in _interleaving_pairs(rng):
+            for eps in (0.0, rng.uniform(0.0, 0.3), 2.0):
+                dim_cap = rng.randint(0, 3)
+                got = verify_set_interleaving_eps(f0, f1, pi1, pi0, eps, rs, dim_cap)
+                want = set_interleaving_eps_reference(
+                    ref0, ref1, pi1, pi0, eps, rs, dim_cap
+                )
+                assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shift(self, seed):
+        rng = random.Random(50 + seed)
+        for f0, f1, ref0, ref1, pi1, pi0, rs in _interleaving_pairs(rng):
+            eps = rng.uniform(0.0, 0.5)
+            for alpha, beta in (
+                (ForwardShift.doubling_shift(eps), ForwardShift.doubling_shift(eps)),
+                (ForwardShift.eps_shift(eps), ForwardShift.doubling_shift(eps / 2.0)),
+                (ForwardShift.identity(), ForwardShift.eps_shift(eps)),
+            ):
+                for swap in (False, True):
+                    args = (pi1, pi0, alpha, beta, rs, rng.randint(1, 3), swap)
+                    got = verify_set_interleaving_shift(f0, f1, *args)
+                    want = set_interleaving_shift_reference(ref0, ref1, *args)
+                    assert repr(got) == repr(want)
+
+    def test_ties_keep_the_first_witness(self):
+        # counting measures make many cells share the least slack
+        f = DegreeBifiltration(
+            DowkerDissimilarity.from_metric(line_space([0, 1, 3, 4])),
+            DiscreteMeasure.counting(4),
+        )
+        ref = DegreeReference(f.dowker.matrix, f.measure.weights)
+        rs = [0.0, 1.0, 2.0, 3.0, 4.0]
+        pi = (1, 0, 3, 2)
+        got = verify_set_interleaving_eps(f, f, pi, pi, 0.0, rs)
+        assert repr(got) == repr(set_interleaving_eps_reference(ref, ref, pi, pi, 0.0, rs))
+        # the identity ties every cell at slack 0: the witness is the first
+        same = verify_set_interleaving_eps(f, f, (0, 1, 2, 3), (0, 1, 2, 3), 0.0, rs)
+        assert [c.witness for c in same.conditions] == [((0,), 0.0)] * 4
+        shift = ForwardShift.eps_shift(0.25)
+        got = verify_set_interleaving_shift(f, f, pi, pi, shift, shift, rs)
+        want = set_interleaving_shift_reference(ref, ref, pi, pi, shift, shift, rs)
+        assert repr(got) == repr(want)
+
+    def test_table_bifiltration(self):
+        f = TableBifiltration(
+            3,
+            (0.0, 1.0, 2.0),
+            {(0,): (1.0, 2.0, 3.0), (1,): (0.5, 2.0, 3.0), (2,): (0.0, 0.0, 1.0),
+             (0, 1): (0.5, 1.0, 2.0)},
+        )
+        rs = [0.0, 0.5, 1.0, 2.0, math.inf]
+        got = verify_set_interleaving_eps(f, f, (1, 0, 2), (0, 0, 1), 0.5, rs)
+        want = set_interleaving_eps_reference(f, f, (1, 0, 2), (0, 0, 1), 0.5, rs)
+        assert repr(got) == repr(want)
+
+    def test_infinite_slack_has_no_witness(self):
+        f = DegreeBifiltration(
+            DowkerDissimilarity.from_metric(line_space([0, 1])),
+            DiscreteMeasure.counting(2),
+        )
+        report = verify_set_interleaving_eps(f, f, (0, 1), (0, 1), math.inf, [0.0, 1.0])
+        assert [c.slack for c in report.conditions] == [math.inf] * 4
+        assert [c.witness for c in report.conditions] == [None] * 4
+        empty = verify_set_interleaving_eps(f, f, (0, 1), (0, 1), 0.0, [])
+        assert [(c.slack, c.witness) for c in empty.conditions] == [(math.inf, None)] * 4
+
+    def test_each_shift_is_called_once_per_cell(self):
+        f0 = DegreeBifiltration(
+            DowkerDissimilarity.from_metric(line_space([0, 1, 3])),
+            DiscreteMeasure.counting(3),
+        )
+        f1 = DegreeBifiltration(
+            DowkerDissimilarity.from_metric(line_space([0, 2])),
+            DiscreteMeasure.counting(2),
+        )
+        calls = []
+
+        def count(m, r):
+            calls.append((m, r))
+            return m - 0.5, r + 0.5
+
+        shift = ForwardShift("counted", count)
+        rs = [0.0, 1.0, 2.0, 3.0]
+        verify_set_interleaving_shift(f0, f1, (0, 1, 1), (0, 2), shift, shift, rs)
+        cells0, cells1 = 7 * len(rs), 3 * len(rs)
+        # a composite shift calls count twice
+        assert len(calls) == cells1 + cells0 + 2 * cells1 + 2 * cells0
 
 
 class TestComplexInterleaving:
