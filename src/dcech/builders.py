@@ -30,7 +30,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -80,17 +80,6 @@ def _mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def _radius_rows(count: int, rs: Sequence | np.ndarray) -> np.ndarray:
@@ -289,10 +278,11 @@ class DistanceToMeasureBifiltration(SetBifiltration):
 
     def value(self, sigma: Iterable[int], r: float) -> float:
         sig = as_simplex(sigma)
-        mask = self.dowker.common_ball_mask(sig, r)
+        lam = self.dowker
+        inside = lam._enter([sig])[0] <= lam._thresholds(np.array(float(r)))
         total = 0.0
-        for y in _bits(mask):
-            best = min(float(self.dowker.matrix[x, y]) for x in sig)
+        for y in np.flatnonzero(inside).tolist():
+            best = min(float(lam.matrix[x, y]) for x in sig)
             w = self.measure.weights[y]
             if w == 0.0:
                 continue
@@ -380,17 +370,21 @@ class DowkerBifiltrationPair:
     def __post_init__(self) -> None:
         if self.f.universe_size != self.dowker.nx:
             raise DimensionMismatch("f universe does not match the witness set")
-        grid = sorted(set((0.0,) + self.dowker.r_values() + self.f.r_breakpoints()))
-        nx = self.dowker.nx
-        for size in range(1, min(self.dim_cap + 2, nx + 1)):
-            for sigma in combinations(range(nx), size):
-                for r in grid:
-                    if self.f.value(sigma, r) > 0.0 and not (
-                        self.dowker.common_ball_mask(sigma, r)
-                    ):
-                        raise DowkerConditionViolation(
-                            f"f{sigma} > 0 at r={r} but the ball is empty"
-                        )
+        lam = self.dowker
+        grid = sorted(set((0.0,) + lam.r_values() + self.f.r_breakpoints()))
+        thresholds = lam._thresholds(np.array(grid))
+        sizes = range(1, min(self.dim_cap + 2, lam.nx + 1))
+        simplices = chain.from_iterable(combinations(range(lam.nx), k) for k in sizes)
+        block = max(1, _DUAL_BLOCK_ELEMENTS // (len(grid) * max(lam.ny, 1)))
+        while sigmas := list(islice(simplices, block)):
+            inside = lam._enter(sigmas)[:, :, None] <= thresholds
+            empty = ~inside.any(axis=1)
+            bad = np.argwhere((self.f.table(sigmas, grid) > 0.0) & empty)
+            if bad.size:
+                i, j = bad[0]
+                raise DowkerConditionViolation(
+                    f"f{sigmas[i]} > 0 at r={grid[j]} but the ball is empty"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -521,40 +515,47 @@ def rectangle_complex(
     This is not Dowker's rectangle complex: only the pairs in U must be
     related, not every pair of proj_X U x proj_Y U, so its homology can
     differ from both the nerve of f and the dual.
+
+    The complex is downward closed, so every simplex grows from its first
+    pair by adding pairs of larger index: the X side only shrinks f's
+    argument (f is antitone), the Y side stays in the same witness's ball.
+    An X projection must consist of heavy witnesses (f({x}, r) >= m), and a
+    Y projection lies in the dual when some heavy witness's ball holds it.
     """
     nx, ny = dowker.nx, dowker.ny
-    eligible_x = [x for x in range(nx) if f.value((x,), r) >= m]
-    ball_of = {x: dowker.ball_mask(x, r) for x in eligible_x}
-    pairs = [
-        (x, y)
-        for x in range(nx)
-        for y in range(ny)
-        if dowker.matrix[x, y] <= r
+    rs = [r]
+    heavy = np.flatnonzero(f.table([(x,) for x in range(nx)], rs)[:, 0] >= m).tolist()
+    subsets = [
+        sigma
+        for size in range(2, min(dim_cap + 1, len(heavy)) + 1)
+        for sigma in combinations(heavy, size)
     ]
-    fcache: dict[tuple[int, ...], bool] = {}
-
-    def x_ok(xs: tuple[int, ...]) -> bool:
-        got = fcache.get(xs)
-        if got is None:
-            got = f.value(xs, r) >= m
-            fcache[xs] = got
-        return got
-
-    def y_ok(ymask: int) -> bool:
-        return any((ymask & ~ball_of[x]) == 0 for x in eligible_x)
-
-    simplices: set[Simplex] = set()
-    for size in range(1, min(dim_cap + 2, len(pairs) + 1)):
-        for combo in combinations(pairs, size):
-            xs = tuple(sorted(set(p[0] for p in combo)))
-            if not x_ok(xs):
-                continue
-            ymask = _mask_of(p[1] for p in combo)
-            if not y_ok(ymask):
-                continue
-            simplices.add(tuple(sorted(x * ny + y for x, y in combo)))
-    universe = tuple(range(nx * ny))
-    return SimplicialComplex(universe, frozenset(simplices))
+    passed = f.table(subsets, rs)[:, 0] >= m
+    x_ok = {1 << x for x in heavy} | {_mask_of(s) for s, ok in zip(subsets, passed) if ok}
+    # witnesses[y]: a bitmask over heavy of the witnesses whose ball holds y
+    inside = dowker.matrix[heavy] <= dowker._thresholds(np.array(float(r)))
+    witnesses = [_mask_of(np.flatnonzero(col).tolist()) for col in inside.T]
+    # the pairs that are vertices, as (vertex id, X mask, witness mask)
+    cells = [
+        (x * ny + y, 1 << x, witnesses[y])
+        for x, y in np.argwhere(dowker.matrix <= r).tolist()
+        if (1 << x) in x_ok and witnesses[y]
+    ]
+    # each simplex with the index of its last pair and its two masks
+    grown = [((v,), i, xm, wm) for i, (v, xm, wm) in enumerate(cells)]
+    simplices: list[Simplex] = []
+    for size in range(1, dim_cap + 2):
+        simplices.extend(sigma for sigma, _, _, _ in grown)
+        if size == dim_cap + 1:
+            break
+        longer = []
+        for sigma, i, xm, wm in grown:
+            for j in range(i + 1, len(cells)):
+                v, xj, wj = cells[j]
+                if wm & wj and (xm | xj) in x_ok:
+                    longer.append((sigma + (v,), j, xm | xj, wm & wj))
+        grown = longer
+    return SimplicialComplex._trusted(tuple(range(nx * ny)), frozenset(simplices))
 
 
 def measure_bifiltration_points(

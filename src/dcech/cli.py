@@ -22,7 +22,7 @@ import sys
 
 from .builders import ambient_dc_finite, intrinsic_dc
 from .core import BifilteredComplex, DiscreteMeasure, FiniteMetricSpace, MonotonePath
-from .errors import DcechError, DifferentSpaces
+from .errors import DcechError, DifferentSpaces, UnsupportedDimension
 from .homology import betti_table, diagonal_barcode, slice_persistence
 from .io import (
     format_barcode,
@@ -116,6 +116,12 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     r_grid = _parse_grid(args.r_grid)
     m_grid = _parse_grid(args.m_grid)
     K = _resolve_complex(args, r_grid)
+    if args.max_degree > K.dim_cap - 1:
+        # higher degrees would count cycles that missing simplices should kill
+        raise UnsupportedDimension(
+            f"--max-degree {args.max_degree} needs dim_cap >= {args.max_degree + 1}, "
+            f"got {K.dim_cap}"
+        )
     table = betti_table(
         K,
         m_grid=sorted(set(m_grid)) if m_grid else None,

@@ -335,18 +335,6 @@ class SimplicialComplex:
         return out
 
     @classmethod
-    def from_simplices(
-        cls, simplices: Iterable[Iterable[int]], universe: Iterable[int] | None = None
-    ) -> "SimplicialComplex":
-        simp = frozenset(as_simplex(s) for s in simplices)
-        if universe is None:
-            uni: set[int] = set()
-            for s in simp:
-                uni.update(s)
-            universe = uni
-        return cls(tuple(universe), simp)
-
-    @classmethod
     def closure_of(
         cls, maximal: Iterable[Iterable[int]], universe: Iterable[int] | None = None
     ) -> "SimplicialComplex":

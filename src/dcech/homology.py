@@ -112,7 +112,12 @@ def betti_table(
     max_degree: int | None = None,
 ) -> BettiTable:
     """Betti vectors over a grid (default: criticals + midpoints): one
-    reduction per m-row, each cell counting the bars alive at its radius."""
+    reduction per m-row, each cell counting the bars alive at its radius.
+
+    Only simplices up to K.dim_cap exist, so degrees at or above dim_cap
+    describe that skeleton, not the full complex: the (dim_cap + 1)-simplices
+    that would kill its cycles are missing.
+    """
     crit_r, crit_m = K.critical_grid()
     if m_grid is None:
         m_grid = grid_with_midpoints(crit_m)

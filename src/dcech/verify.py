@@ -11,8 +11,9 @@ never assume the property: every check recomputes both sides.
 The rectangle complex is too large to materialize at every grid point, so
 its Betti vectors are computed through a nerve shortcut: the complex is a
 union of full simplices on computable vertex sets, and the nerve of that
-cover has the same homology. Small cases fall back to direct enumeration;
-dedicated tests compare the two routes.
+cover has the same homology. Wide covers, whose nerves would be too large,
+build the complex itself with ``rectangle_complex``; dedicated tests compare
+the two routes.
 
 Duality, restriction, and nerve grids use m > 0 only: at m <= 0 the dual
 and rectangle complexes genuinely differ from the nerve (empty versus full),
@@ -41,6 +42,7 @@ from .builders import (
     dowker_dual,
     intrinsic_dc,
     nerve_bifiltration,
+    rectangle_complex,
 )
 from .core import (
     BifilteredComplex,
@@ -132,19 +134,6 @@ def _r_grid(*complexes: BifilteredComplex) -> list[float]:
     return sorted(rs)
 
 
-class _BettiCache:
-    def __init__(self) -> None:
-        self._seen: dict[frozenset, BettiVector] = {}
-
-    def get(self, complex_: SimplicialComplex, max_degree: int) -> BettiVector:
-        key = complex_.simplices
-        got = self._seen.get(key)
-        if got is None:
-            got = betti(complex_, max_degree)
-            self._seen[key] = got
-        return got
-
-
 def _maximal(complex_: SimplicialComplex) -> list[Simplex]:
     sims = sorted(complex_.simplices, key=len, reverse=True)
     kept: list[frozenset] = []
@@ -165,17 +154,15 @@ def rectangle_betti(
     nf_at: SimplicialComplex,
     dual_at: SimplicialComplex,
     max_degree: int,
-    cache: _BettiCache | None = None,
 ) -> BettiVector:
     """Betti vector of the correspondence complex at (m, r).
 
     The complex is the union of full simplices on the sets
     (A x B) intersected with {dissimilarity <= r}, over maximal A in the
     nerve and maximal B in the dual; the nerve of that cover carries the
-    same homology. Falls back to direct enumeration when the cover is wide.
+    same homology. A cover of more than 16 sets has too wide a nerve, so
+    then the complex itself is built, up to dimension max_degree + 1.
     """
-    if cache is None:
-        cache = _BettiCache()
     ny = dowker.ny
     masks: set[int] = set()
     for a in _maximal(nf_at):
@@ -208,33 +195,8 @@ def rectangle_betti(
                 if inter:
                     sims.add(combo)
         nerve = SimplicialComplex(tuple(range(n)), frozenset(sims))
-        return cache.get(nerve, max_degree)
-    union = 0
-    for mk in kept:
-        union |= mk
-    verts = [i for i in range(dowker.nx * ny) if union >> i & 1]
-    dual_set = dual_at.simplices
-    f_ok: dict[Simplex, bool] = {}
-
-    def x_ok(xs: Simplex) -> bool:
-        got = f_ok.get(xs)
-        if got is None:
-            got = f.value(xs, r) >= m
-            f_ok[xs] = got
-        return got
-
-    sims = set()
-    for size in range(1, min(max_degree + 3, len(verts) + 1)):
-        for combo in combinations(verts, size):
-            xs = tuple(sorted(set(v // ny for v in combo)))
-            if not x_ok(xs):
-                continue
-            ys = tuple(sorted(set(v % ny for v in combo)))
-            if ys not in dual_set:
-                continue
-            sims.add(combo)
-    direct = SimplicialComplex(tuple(range(dowker.nx * ny)), frozenset(sims))
-    return cache.get(direct, max_degree)
+        return betti(nerve, max_degree)
+    return betti(rectangle_complex(dowker, f, m, r, max_degree + 1), max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +234,6 @@ def run_duality(seed: int, trials: int = 100) -> SuiteResult:
     """Betti of nerve, rectangle complex, and dual agree at m > 0 grid points."""
     rng = random.Random(seed)
     result = SuiteResult("duality", trials)
-    cache = _BettiCache()
     checked = 0
     for trial in range(trials):
         nx = rng.randint(2, 6)
@@ -294,8 +255,8 @@ def run_duality(seed: int, trials: int = 100) -> SuiteResult:
                     continue
                 seen.add(sig)
                 checked += 1
-                b_nf = cache.get(nf_at, 2)
-                b_dual = cache.get(dual_at, 2)
+                b_nf = betti(nf_at, 2)
+                b_dual = betti(dual_at, 2)
                 if b_nf != b_dual:
                     _record(
                         result,
@@ -303,7 +264,7 @@ def run_duality(seed: int, trials: int = 100) -> SuiteResult:
                         f"nerve {b_nf} != dual {b_dual} at (m={m}, r={r})",
                     )
                     continue
-                b_rect = rectangle_betti(lam, f, m, r, nf_at, dual_at, 2, cache)
+                b_rect = rectangle_betti(lam, f, m, r, nf_at, dual_at, 2)
                 if b_rect != b_nf:
                     _record(
                         result,
@@ -362,7 +323,8 @@ def run_nerve(seed: int, trials: int = 50) -> SuiteResult:
     """Cover nerve and ambient construction have equal Betti vectors."""
     rng = random.Random(seed)
     result = SuiteResult("nerve", trials)
-    cache = _BettiCache()
+    # cover nerves repeat across cells and trials: reduce each one once
+    seen: dict[frozenset[Simplex], BettiVector] = {}
     checked = 0
     for trial in range(trials):
         n = rng.randint(4, 8)
@@ -378,7 +340,10 @@ def run_nerve(seed: int, trials: int = 50) -> SuiteResult:
             for i, m in enumerate(ms):
                 checked += 1
                 b_dc = table.at(i, j)
-                b_nerve = cache.get(cover_nerve(space, mu, m, r, 3), 2)
+                nerve = cover_nerve(space, mu, m, r, 3)
+                b_nerve = seen.get(nerve.simplices)
+                if b_nerve is None:
+                    b_nerve = seen[nerve.simplices] = betti(nerve, 2)
                 if b_dc != b_nerve:
                     _record(
                         result,

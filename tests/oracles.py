@@ -11,7 +11,10 @@ over radii and witnesses with int ball masks instead of one numpy envelope
 over witnesses. Degree values come from per-level int ball masks and a sum
 over their bits instead of one numpy table per batch, interleaving reports
 from a loop over (simplex, radius) pairs, and the metric closure and
-triangle check from loops over (k, i, j). Geometric primitives (midpoint,
+triangle check from loops over (k, i, j). The correspondence complex comes
+from every combination of related pairs instead of an extension walk, and
+Dowker pair checks and distance-to-measure values from one int ball mask per
+cell instead of tables. Geometric primitives (midpoint,
 circumcenter, point distance) are shared formula-for-formula with the library
 on purpose: exact set-equality checks at breakpoints need the two sides to
 round identically, and the value of the oracle is the independent search, not
@@ -36,11 +39,13 @@ from dcech import (
     CoordMismatch,
     DifferentSpaces,
     DimensionMismatch,
+    DowkerConditionViolation,
     IndexOutOfRange,
     InterleavingReport,
     NegativeDistanceError,
     ProhorovCheck,
     SetBifiltration,
+    SimplicialComplex,
     Staircase,
     TriangleViolation,
 )
@@ -373,6 +378,154 @@ class DegreeReference(SetBifiltration):
 
     def r_breakpoints(self) -> tuple[float, ...]:
         return self.levels
+
+
+# ---------------------------------------------------------------------------
+# The correspondence complex by enumerating pair combinations
+# ---------------------------------------------------------------------------
+# The library's former bodies: rectangle_complex tried every combination of
+# related pairs, and rectangle_betti enumerated the pairs of a wide cover.
+
+
+def rectangle_complex_reference(dowker, f, m: float, r: float, dim_cap: int = 3):
+    """Every combination of at most dim_cap + 1 related pairs, kept when its
+    X projection has f >= m and its Y projection lies in the ball of a
+    witness x with f({x}, r) >= m."""
+    nx, ny = dowker.nx, dowker.ny
+    eligible_x = [x for x in range(nx) if f.value((x,), r) >= m]
+    ball_of = {x: dowker.ball_mask(x, r) for x in eligible_x}
+    pairs = [
+        (x, y)
+        for x in range(nx)
+        for y in range(ny)
+        if dowker.matrix[x, y] <= r
+    ]
+    fcache: dict[tuple[int, ...], bool] = {}
+
+    def x_ok(xs: tuple[int, ...]) -> bool:
+        got = fcache.get(xs)
+        if got is None:
+            got = f.value(xs, r) >= m
+            fcache[xs] = got
+        return got
+
+    def y_ok(ymask: int) -> bool:
+        return any((ymask & ~ball_of[x]) == 0 for x in eligible_x)
+
+    simplices = set()
+    for size in range(1, min(dim_cap + 2, len(pairs) + 1)):
+        for combo in combinations(pairs, size):
+            xs = tuple(sorted(set(p[0] for p in combo)))
+            if not x_ok(xs):
+                continue
+            ymask = _mask_of(p[1] for p in combo)
+            if not y_ok(ymask):
+                continue
+            simplices.add(tuple(sorted(x * ny + y for x, y in combo)))
+    universe = tuple(range(nx * ny))
+    return SimplicialComplex(universe, frozenset(simplices))
+
+
+def _maximal(complex_):
+    sims = sorted(complex_.simplices, key=len, reverse=True)
+    kept: list[frozenset] = []
+    out = []
+    for s in sims:
+        fs = frozenset(s)
+        if not any(fs <= k for k in kept):
+            kept.append(fs)
+            out.append(s)
+    return out
+
+
+def correspondence_cover(dowker, r: float, nf_at, dual_at) -> list[int]:
+    """The maximal sets (A x B) & {dissimilarity <= r} as pair bitmasks, over
+    maximal A in the nerve and maximal B in the dual, largest first."""
+    ny = dowker.ny
+    masks: set[int] = set()
+    for a in _maximal(nf_at):
+        for b in _maximal(dual_at):
+            mask = 0
+            for x in a:
+                row = dowker.matrix[x]
+                for y in b:
+                    if row[y] <= r:
+                        mask |= 1 << (x * ny + y)
+            if mask:
+                masks.add(mask)
+    ordered = sorted(masks, key=lambda mk: -bin(mk).count("1"))
+    kept: list[int] = []
+    for mk in ordered:
+        if not any(mk & ~other == 0 for other in kept):
+            kept.append(mk)
+    return kept
+
+
+def wide_cover_complex_reference(dowker, f, m: float, r: float, kept, dual_at, max_degree: int):
+    """The correspondence complex up to dimension max_degree + 1, enumerated
+    over combinations of the pairs a cover's sets hold, whatever its width."""
+    ny = dowker.ny
+    union = 0
+    for mk in kept:
+        union |= mk
+    verts = [i for i in range(dowker.nx * ny) if union >> i & 1]
+    dual_set = dual_at.simplices
+    f_ok: dict = {}
+
+    def x_ok(xs) -> bool:
+        got = f_ok.get(xs)
+        if got is None:
+            got = f.value(xs, r) >= m
+            f_ok[xs] = got
+        return got
+
+    sims = set()
+    for size in range(1, min(max_degree + 3, len(verts) + 1)):
+        for combo in combinations(verts, size):
+            xs = tuple(sorted(set(v // ny for v in combo)))
+            if not x_ok(xs):
+                continue
+            ys = tuple(sorted(set(v % ny for v in combo)))
+            if ys not in dual_set:
+                continue
+            sims.add(combo)
+    return SimplicialComplex(tuple(range(dowker.nx * ny)), frozenset(sims))
+
+
+# ---------------------------------------------------------------------------
+# Dowker pair compatibility and distance-to-measure values, one cell at a time
+# ---------------------------------------------------------------------------
+
+
+def check_dowker_pair_reference(dowker, f, dim_cap: int = 3) -> None:
+    """Raise at the first (size, sigma, r) where f > 0 on an empty ball."""
+    grid = sorted(set((0.0,) + dowker.r_values() + f.r_breakpoints()))
+    nx = dowker.nx
+    for size in range(1, min(dim_cap + 2, nx + 1)):
+        for sigma in combinations(range(nx), size):
+            for r in grid:
+                if f.value(sigma, r) > 0.0 and not (
+                    dowker.common_ball_mask(sigma, r)
+                ):
+                    raise DowkerConditionViolation(
+                        f"f{sigma} > 0 at r={r} but the ball is empty"
+                    )
+
+
+def dtm_value_reference(dowker, weights, p: float, sigma, r: float) -> float:
+    """f_p(sigma, r) over the bits of the common ball mask, lowest first."""
+    sig = tuple(sorted(set(sigma)))
+    total = 0.0
+    for y in _bits(dowker.common_ball_mask(sig, r)):
+        best = min(float(dowker.matrix[x, y]) for x in sig)
+        w = weights[y]
+        if w == 0.0:
+            continue
+        if math.isinf(best):
+            return math.inf
+        if best > 0.0:
+            total += (best ** p) * w
+    return total ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

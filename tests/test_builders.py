@@ -4,13 +4,15 @@ The workhorse is L3: three collinear points at x = 0, 1, 3 with the counting
 measure. All expected masses, staircases, and Betti numbers below were
 computed by hand from the distance matrix [[0,1,3],[1,0,2],[3,2,0]].
 Seeded random instances compare ``dowker_dual`` with the scan over witnesses
-in oracles.py, and degree tables and values with the int-bitmask reference
-there.
+in oracles.py, degree tables and values with the int-bitmask reference
+there, and the correspondence complex, Dowker pair checks and
+distance-to-measure values with the former one-cell-at-a-time bodies.
 """
 
 import math
+import operator
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -44,7 +46,13 @@ from dcech import (
 )
 from dcech.instances import random_dowker, random_measure, random_metric_space
 
-from .oracles import DegreeReference, dowker_dual_reference
+from .oracles import (
+    DegreeReference,
+    check_dowker_pair_reference,
+    dowker_dual_reference,
+    dtm_value_reference,
+    rectangle_complex_reference,
+)
 
 
 @pytest.fixture
@@ -543,6 +551,145 @@ class TestRectangleComplex:
         R = rectangle_complex(dowker, f, 1.0, 0.0)
         assert R.simplices == frozenset({(0,), (4,), (8,)})
         assert betti(R, 1) == (3, 0)
+
+
+def _antitone_table(rng, nx, grid, first=None):
+    """A tabulated f on every simplex of range(nx): singletons nondecreasing
+    along the grid (first[x] masks the radii where x may be positive), each
+    larger simplex a scaled minimum of its faces, so some equal them."""
+    values: dict = {}
+    for size in range(1, nx + 1):
+        for sigma in combinations(range(nx), size):
+            if size == 1:
+                vals = sorted(rng.choice((0.0, 0.5, 1.0, 2.0, 3.5)) for _ in grid)
+                if first is not None:
+                    vals = [v if ok else 0.0 for v, ok in zip(vals, first[sigma[0]])]
+            else:
+                faces = [values[face] for face in combinations(sigma, size - 1)]
+                scale = rng.choice((0.0, 0.5, 1.0, 1.0))
+                vals = [scale * min(col) for col in zip(*faces)]
+            values[sigma] = vals
+    return TableBifiltration(nx, grid, values)
+
+
+def _rectangle_instances(rng):
+    """(dowker, f) pairs of at most 4 x 3, so the reference can try every
+    combination of pairs: tied levels, inf entries, one witness or one point,
+    and degree, distance-to-measure and tabulated f."""
+    for trial in range(8):
+        nx, ny = rng.randint(1, 4), rng.randint(1, 3)
+        if trial % 4 == 0:
+            nx = 1
+        elif trial % 4 == 1:
+            ny = 1
+        m = random_dowker(rng, nx, ny).matrix.copy()
+        if trial % 2:
+            m = np.round(m * 4.0) / 4.0
+        for _ in range(rng.randint(0, 2)):
+            m[rng.randrange(nx), rng.randrange(ny)] = math.inf
+        dowker = DowkerDissimilarity(m)
+        weights = [float(rng.randint(0, 2)) for _ in range(ny)]
+        weights[rng.randrange(ny)] = float(rng.randint(1, 2))
+        mu = DiscreteMeasure(tuple(weights))
+        yield dowker, DegreeBifiltration(dowker, mu)
+        yield dowker, DistanceToMeasureBifiltration(dowker, mu, rng.choice((0.5, 1.0, 2.0)))
+        yield dowker, _antitone_table(rng, nx, (0.0, 0.25, 0.5, 0.75, math.inf))
+
+
+class TestRectangleComplexAgainstReference:
+    """The extension walk against every combination of related pairs."""
+
+    MS = (-math.inf, 0.0, 0.5, 1.0, 2.0, 3.5, math.inf, math.nan)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_simplices(self, seed):
+        rng = random.Random(300 + seed)
+        for dowker, f in _rectangle_instances(rng):
+            levels = dowker.r_values()
+            rs = [-1.0, math.inf, math.nan, *levels]
+            rs += [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
+            for r in rs:
+                for m in self.MS:
+                    dim_cap = rng.randint(1, 3)
+                    got = rectangle_complex(dowker, f, m, r, dim_cap)
+                    want = rectangle_complex_reference(dowker, f, m, r, dim_cap)
+                    assert got.universe == want.universe
+                    assert got.simplices == want.simplices, (m, r, dim_cap)
+
+
+class TestDowkerPairAgainstReference:
+    """The tabled compatibility check raises the loop's first violation."""
+
+    def test_same_first_violation(self):
+        rng = random.Random(41)
+        raised = []
+        for trial in range(40):
+            nx, ny = rng.randint(1, 4), rng.randint(1, 3)
+            m = random_dowker(rng, nx, ny).matrix.copy()
+            if trial % 2:
+                m = np.round(m * 4.0) / 4.0
+            if trial % 3 == 0:
+                m[rng.randrange(nx), rng.randrange(ny)] = math.inf
+            dowker = DowkerDissimilarity(m)
+            grid = sorted(set((0.0, 0.5, *rng.sample(dowker.r_values(), 1))))
+            if trial % 5 == 0:
+                grid.append(math.inf)
+            # mostly positive only where x's own ball is, so that violations
+            # also come from larger simplices and later radii
+            first = {
+                x: list(accumulate(
+                    (rng.random() < 0.1 or bool(dowker.ball_mask(x, r)) for r in grid),
+                    operator.or_,
+                ))
+                for x in range(nx)
+            }
+            f = _antitone_table(rng, nx, tuple(grid), first)
+            dim_cap = rng.randint(1, 3)
+            outcomes = []
+            for check in (DowkerBifiltrationPair, check_dowker_pair_reference):
+                try:
+                    check(dowker, f, dim_cap)
+                    outcomes.append(None)
+                except DowkerConditionViolation as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            raised.append(outcomes[0])
+        messages = [msg for msg in raised if msg is not None]
+        assert len(messages) < len(raised)
+        assert any("f(0,)" not in msg for msg in messages)
+        assert any(", " in msg.split(")")[0] for msg in messages)
+
+
+    def test_first_violation_in_a_later_block(self):
+        # 385 simplices x 100 radii do not fit one block; only the last
+        # simplex, (6, 7, 8, 9), has an empty ball: each of its points is at
+        # distance 1 from one of its witnesses, and f is 1 everywhere
+        matrix = np.zeros((10, 4))
+        for j in range(4):
+            matrix[6 + j, j] = 1.0
+        grid = tuple(float(i) for i in range(100))
+        table = {
+            sigma: (1.0,) * len(grid)
+            for k in range(1, 5)
+            for sigma in combinations(range(10), k)
+        }
+        f = TableBifiltration(10, grid, table)
+        with pytest.raises(DowkerConditionViolation) as exc:
+            DowkerBifiltrationPair(DowkerDissimilarity(matrix), f)
+        assert str(exc.value) == "f(6, 7, 8, 9) > 0 at r=0.0 but the ball is empty"
+
+
+class TestDistanceToMeasureAgainstReference:
+    @pytest.mark.parametrize("p", (0.5, 1.0, 2.0))
+    def test_same_values(self, p):
+        rng = random.Random(int(p * 10))
+        for dowker, measure in _table_instances(rng):
+            f = DistanceToMeasureBifiltration(dowker, measure, p)
+            sigmas = _sigmas(dowker.nx)[1:]
+            for r in _radii(dowker.r_values(), rng):
+                got = [f.value(s, r) for s in sigmas]
+                want = [dtm_value_reference(dowker, measure.weights, p, s, r) for s in sigmas]
+                assert repr(got) == repr(want), r
 
 
 class TestMeasurePointsAndCoverNerve:

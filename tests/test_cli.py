@@ -154,6 +154,33 @@ class TestHilbert:
         ).read_bytes()
 
 
+    @pytest.mark.parametrize("route", ["input", "artifact"])
+    def test_max_degree_needs_a_higher_dim_cap(self, tmp_path, capsys, route):
+        # at r = 1 the triangle's 2-simplex fills its loop; at dim_cap 1 it
+        # is missing, and a 1-skeleton's beta1 = 1 would be written
+        cloud = tmp_path / "triangle.csv"
+        cloud.write_text("x,y,w\n0,0,1\n1,0,1\n0,1,1\n")
+        for cap, want in (("1", 2), ("2", 0)):
+            out = tmp_path / cap
+            source = ["--input", str(cloud), "--weights", "w", "--dim-cap", cap]
+            if route == "artifact":
+                code, _, _ = run(capsys, ["build", *source, "--out", str(out)])
+                assert code == 0
+                source = ["--artifact", str(out / "staircases.txt")]
+            code, stdout, stderr = run(
+                capsys,
+                ["hilbert", *source, "--max-degree", "1", "--m-grid", "1",
+                 "--r-grid", "1", "--out", str(out)],
+            )
+            assert code == want
+            if want == 2:
+                assert stdout == ""
+                assert stderr == "error: --max-degree 1 needs dim_cap >= 2, got 1\n"
+                assert not (out / "betti.csv").exists()
+            else:
+                assert (out / "betti.csv").read_text() == "m,r,beta0,beta1\n1.0,1.0,1,0\n"
+
+
 class TestSlice:
     def test_constant_m_barcode(self, capsys, points_csv):
         code, stdout, _ = run(capsys, ["slice", "--input", points_csv, "m=1"])

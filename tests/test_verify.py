@@ -43,7 +43,13 @@ from dcech.verify import (
     run_suite,
 )
 
-from .oracles import betti_dense, degree_cech_nerve, inclusion_iso_dense
+from .oracles import (
+    betti_dense,
+    correspondence_cover,
+    degree_cech_nerve,
+    inclusion_iso_dense,
+    wide_cover_complex_reference,
+)
 
 
 def random_dowker(rng: random.Random, nx: int, ny: int) -> DowkerDissimilarity:
@@ -238,6 +244,46 @@ class TestRectangleBetti:
                     expected = betti(rectangle_complex(dowker, f, m, r), 2)
                     got = rectangle_betti(dowker, f, m, r, nf_at, dual_at, 2)
                     assert got == expected
+
+
+def _duality_cells(seed: int, low: int, high: int):
+    """Every positive-m grid cell of one instance drawn like the duality
+    suite's, with the cover of its correspondence complex."""
+    rng = random.Random(seed)
+    nx, ny = rng.randint(low, high), rng.randint(low, high)
+    dowker = random_dowker(rng, nx, ny)
+    mu = DiscreteMeasure(tuple(float(rng.randint(1, 3)) for _ in range(ny)))
+    f = DegreeBifiltration(dowker, mu)
+    nerve = nerve_bifiltration(f, dim_cap=3)
+    dual = dowker_dual(dowker, f, dim_cap=3)
+    ms = sorted({v for st in nerve.entries.values() for _, v in st.steps if v > 0.0})
+    rs = sorted(
+        {0.0, *(r for K in (nerve, dual) for st in K.entries.values() for r, _ in st.steps)}
+    )
+    for r in rs:
+        for m in ms:
+            nf_at, dual_at = nerve.complex_at(m, r), dual.complex_at(m, r)
+            kept = correspondence_cover(dowker, r, nf_at, dual_at)
+            yield dowker, f, m, r, nf_at, dual_at, kept
+
+
+class TestRectangleBettiAgainstReference:
+    """The wide-cover route is rectangle_complex capped at max_degree + 1."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_enumeration_of_any_cover_is_the_capped_complex(self, seed):
+        # the former enumeration, run whatever the cover's width
+        for dowker, f, m, r, _, dual_at, kept in _duality_cells(seed, 2, 4):
+            want = wide_cover_complex_reference(dowker, f, m, r, kept, dual_at, 2)
+            assert rectangle_complex(dowker, f, m, r, 3).simplices == want.simplices
+
+    @pytest.mark.parametrize("seed, cells", [(9, 2), (20, 3)])
+    def test_wide_covers(self, seed, cells):
+        wide = [cell for cell in _duality_cells(seed, 3, 5) if len(cell[-1]) > 16]
+        assert len(wide) >= cells
+        for dowker, f, m, r, nf_at, dual_at, kept in wide[:cells]:
+            want = wide_cover_complex_reference(dowker, f, m, r, kept, dual_at, 2)
+            assert rectangle_betti(dowker, f, m, r, nf_at, dual_at, 2) == betti(want, 2)
 
 
 class TestSuiteVerdicts:
