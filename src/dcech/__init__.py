@@ -29,14 +29,10 @@ from .core import (
     DiscreteMeasure,
     FiniteMetricSpace,
     ForwardShift,
-    MonotonePath,
     SimplicialComplex,
     Staircase,
     as_simplex,
-    ball,
-    common_ball,
     grid_with_midpoints,
-    offset,
     pointwise_max,
     validate_forward_shift,
     validate_metric,

@@ -558,20 +558,24 @@ def rectangle_complex(
     return SimplicialComplex._trusted(tuple(range(nx * ny)), frozenset(simplices))
 
 
+def _balls(
+    space: FiniteMetricSpace, measure: DiscreteMeasure, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """inside[c, j] when dist(c, j) <= r, and the mass of each closed r-ball,
+    its weights added in point order from 0.0 as the degree tables do."""
+    if len(measure) != space.n:
+        raise DimensionMismatch("measure does not align with the space")
+    inside = space.dist <= r
+    weighted = np.where(inside, np.array(measure.weights), 0.0)
+    return inside, np.add.accumulate(weighted, axis=1)[:, -1]
+
+
 def measure_bifiltration_points(
     space: FiniteMetricSpace, measure: DiscreteMeasure, m: float, r: float
 ) -> frozenset[int]:
     """Points whose closed r-ball carries mass at least m."""
-    if len(measure) != space.n:
-        raise DimensionMismatch("measure does not align with the space")
-    out = []
-    for x in range(space.n):
-        mass = sum(
-            measure.weights[y] for y in range(space.n) if space.dist[x, y] <= r
-        )
-        if mass >= m:
-            out.append(x)
-    return frozenset(out)
+    _, mass = _balls(space, measure, r)
+    return frozenset(np.flatnonzero(mass >= m).tolist())
 
 
 def cover_nerve(
@@ -586,12 +590,10 @@ def cover_nerve(
     Vertices are the points of offset(dense region, r); tau spans a simplex
     when the common ball of tau still meets the dense region.
     """
-    dense = measure_bifiltration_points(space, measure, m, r)
-    dense_mask = _mask_of(dense)
+    inside, mass = _balls(space, measure, r)
+    dense_mask = _mask_of(np.flatnonzero(mass >= m).tolist())
     n = space.n
-    ballm = []
-    for y in range(n):
-        ballm.append(_mask_of(x for x in range(n) if space.dist[y, x] <= r))
+    ballm = [_mask_of(np.flatnonzero(row).tolist()) for row in inside]
     verts = [y for y in range(n) if ballm[y] & dense_mask]
     simplices: set[Simplex] = set()
     for size in range(1, min(dim_cap + 2, len(verts) + 1)):

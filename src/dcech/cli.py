@@ -21,7 +21,7 @@ import os
 import sys
 
 from .builders import ambient_dc_finite, intrinsic_dc
-from .core import BifilteredComplex, DiscreteMeasure, FiniteMetricSpace, MonotonePath
+from .core import BifilteredComplex, DiscreteMeasure, FiniteMetricSpace
 from .errors import DcechError, DifferentSpaces, UnsupportedDimension
 from .homology import betti_table, diagonal_barcode, slice_persistence
 from .io import (
@@ -166,15 +166,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     kind, params = _parse_path_spec(args.spec)
     if kind == "constant":
         (m0,) = params
-        if r_grid is not None:
-            r_values: tuple[float, ...] = r_grid
-        else:
-            rs = {0.0}
-            for stair in K.entries.values():
-                rs.update(r for r, _ in stair.steps)
-            r_values = tuple(sorted(rs))
-        path = MonotonePath.at_constant_m(m0, r_values)
-        bars = slice_persistence(K, path, max_degree)
+        bars = slice_persistence(K, m0, r_grid, max_degree)
     else:
         m0, r0 = params
         bars = diagonal_barcode(K, m0, r0, max_degree)

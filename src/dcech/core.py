@@ -44,14 +44,10 @@ __all__ = [
     "Staircase",
     "BifilteredComplex",
     "ForwardShift",
-    "MonotonePath",
     "as_simplex",
     "pointwise_max",
     "validate_forward_shift",
     "validate_metric",
-    "ball",
-    "common_ball",
-    "offset",
     "grid_with_midpoints",
 ]
 
@@ -71,6 +67,15 @@ def as_simplex(vertices: Iterable[int]) -> Simplex:
 # ---------------------------------------------------------------------------
 # Metric spaces and measures
 # ---------------------------------------------------------------------------
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0, as the degree tables add
+    masses; sum() compensates from Python 3.12 on, so it is not used."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +251,10 @@ class DiscreteMeasure:
 
     @property
     def total(self) -> float:
-        return float(sum(self.weights))
+        return _left_sum(self.weights)
 
     def mass(self, indices: Iterable[int]) -> float:
-        return float(sum(self.weights[i] for i in indices))
+        return _left_sum(self.weights[i] for i in indices)
 
     def restrict(self, ids: Sequence[int]) -> "DiscreteMeasure":
         """Reindexed weights on the given ids (support must stay nonempty)."""
@@ -261,32 +266,6 @@ def _check_alignment(space: FiniteMetricSpace, measure: DiscreteMeasure) -> None
         raise DimensionMismatch(
             f"measure has {len(measure)} weights for a {space.n}-point space"
         )
-
-
-def ball(space: FiniteMetricSpace, x: int, r: float) -> frozenset[int]:
-    """Closed ball: indices within distance r of point x."""
-    space._check_index(x)
-    row = space.dist[x]
-    return frozenset(int(i) for i in np.nonzero(row <= r)[0])
-
-
-def common_ball(space: FiniteMetricSpace, sigma: Iterable[int], r: float) -> frozenset[int]:
-    """Indices within distance r of every vertex of sigma."""
-    sig = as_simplex(sigma)
-    out: frozenset[int] | None = None
-    for x in sig:
-        b = ball(space, x, r)
-        out = b if out is None else out & b
-    assert out is not None
-    return out
-
-
-def offset(space: FiniteMetricSpace, subset: Iterable[int], r: float) -> frozenset[int]:
-    """Union of closed r-balls centered at the subset's points."""
-    out: set[int] = set()
-    for x in subset:
-        out |= ball(space, x, r)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +552,7 @@ def grid_with_midpoints(values: Sequence[float]) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Parameter shifts and slice paths
+# Parameter shifts
 # ---------------------------------------------------------------------------
 
 
@@ -650,55 +629,3 @@ def validate_forward_shift(
                     raise NonMonotonePath(
                         f"{shift.name} is not order preserving at {(ma, ra)}, {(mb, rb)}"
                     )
-
-
-@dataclass(frozen=True)
-class MonotonePath:
-    """A finite path through parameter space with nonincreasing m and
-    nondecreasing r, plus a strictly increasing time stamp per step.
-
-    Bars produced by slice persistence are reported in these time stamps.
-    """
-
-    points: tuple[tuple[float, float], ...]
-    times: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple((float(m), float(r)) for m, r in self.points)
-        ts = tuple(float(t) for t in self.times)
-        if not pts:
-            raise NonMonotonePath("a path needs at least one point")
-        if len(pts) != len(ts):
-            raise NonMonotonePath("points and times must align")
-        for (m0, r0), (m1, r1) in zip(pts, pts[1:]):
-            if m1 > m0 or r1 < r0:
-                raise NonMonotonePath(
-                    f"path moved backwards: ({m0},{r0}) then ({m1},{r1})"
-                )
-        for t0, t1 in zip(ts, ts[1:]):
-            if not t0 < t1:
-                raise NonMonotonePath("times must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "times", ts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @classmethod
-    def at_constant_m(cls, m: float, r_values: Sequence[float]) -> "MonotonePath":
-        # order is kept as given so a decreasing grid is rejected, not hidden
-        rs: list[float] = []
-        for r in r_values:
-            r = float(r)
-            if not rs or r != rs[-1]:
-                rs.append(r)
-        return cls(tuple((m, r) for r in rs), tuple(rs))
-
-    @classmethod
-    def diagonal(
-        cls, m0: float, r0: float, t_values: Sequence[float]
-    ) -> "MonotonePath":
-        ts = sorted(set(float(t) for t in t_values))
-        if any(t < 0 for t in ts):
-            raise NonMonotonePath("diagonal parameters must be >= 0")
-        return cls(tuple((m0 - t, r0 + t) for t in ts), tuple(ts))

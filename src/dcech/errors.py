@@ -115,7 +115,8 @@ class MissingCoordinates(DcechError, ValueError):
 
 
 class NonMonotonePath(DcechError, ValueError):
-    """Slice paths must have nonincreasing m and nondecreasing r."""
+    """A slice's radius grid must not decrease, and a shift must not move a
+    parameter pair backwards."""
 
 
 class NotAnInclusion(DcechError, ValueError):

@@ -12,16 +12,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .core import (
-    BifilteredComplex,
-    MonotonePath,
-    Simplex,
-    SimplicialComplex,
-    grid_with_midpoints,
-)
-from .errors import NotAnInclusion, UnsupportedDimension
+import numpy as np
+
+from .core import BifilteredComplex, Simplex, SimplicialComplex, grid_with_midpoints
+from .errors import NonMonotonePath, NotAnInclusion, UnsupportedDimension
 
 __all__ = [
     "BettiVector",
@@ -105,6 +101,40 @@ class BettiTable:
         return self.values[i][j]
 
 
+@dataclass(frozen=True)
+class _Corners:
+    """Every staircase corner of a complex as flat arrays, simplex by simplex
+    in K.entries order: corners starts[i] up to ends[i] belong to simplices[i]."""
+
+    simplices: list[Simplex]
+    r: np.ndarray
+    v: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def of(cls, K: BifilteredComplex) -> "_Corners":
+        counts = np.array([len(stair.steps) for stair in K.entries.values()], dtype=np.intp)
+        ends = np.cumsum(counts)
+        flat = [corner for stair in K.entries.values() for corner in stair.steps]
+        r, v = np.array(flat, dtype=float).reshape(len(flat), 2).T
+        return cls(list(K.entries), r, v, ends - counts, ends)
+
+    def entering(self, m: float) -> tuple[np.ndarray, np.ndarray]:
+        """(simplex index, corner index) of every simplex that admits m.
+
+        Values rise strictly along a staircase, so the corners that do not
+        admit m (``not v >= m``, as in Staircase.present, so a nan admits
+        nothing) form a prefix, and its length points at the first corner
+        that does.
+        """
+        if not self.simplices:  # reduceat needs at least one index
+            return self.starts, self.starts
+        first = self.starts + np.add.reduceat(~(self.v >= m), self.starts, dtype=np.intp)
+        sims = np.flatnonzero(first < self.ends)
+        return sims, first[sims]
+
+
 def betti_table(
     K: BifilteredComplex,
     m_grid: Sequence[float] | None = None,
@@ -131,9 +161,19 @@ def betti_table(
         raise UnsupportedDimension(f"max_degree must be >= 0, got {max_degree}")
     # nan goes last: Staircase.present treats it as an infinite radius
     steps = sorted(set(rs), key=lambda r: (r != r, r))
+    corners = _Corners.of(K)
+    simplices = corners.simplices
+    # the first step at or above each corner; len(steps) when there is none
+    step_of = np.array([bisect_left(steps, r) for r in corners.r.tolist()], dtype=np.intp)
     rows: list[tuple[BettiVector, ...]] = []
     for m in ms:
-        entered = [(j, len(s), s) for j, s in _entry_steps(K, [m] * len(steps), steps)]
+        sims, first = corners.entering(m)
+        at_step = step_of[first]
+        keep = at_step < len(steps)
+        entered = [
+            (j, len(simplices[i]), simplices[i])
+            for i, j in zip(sims[keep].tolist(), at_step[keep].tolist())
+        ]
         bars = _persistence_pairs(entered, max_degree)
         ends = [
             ([b for b, _ in bars.degree(k)], sorted(d for _, d in bars.degree(k)))
@@ -217,37 +257,35 @@ def _persistence_pairs(
     return Barcode({k: tuple(v) for k, v in bars.items()})
 
 
-def _entry_steps(
-    K: BifilteredComplex, ms: Sequence[float], rs: Sequence[float]
-) -> Iterator[tuple[int, Simplex]]:
-    """(first step, simplex) for each simplex entering a path with
-    nonincreasing ms and nondecreasing rs. A corner (r_k, v_k) admits the
-    steps where ``not rs[i] < r_k`` and ``v_k >= ms[i]``, as in
-    Staircase.present: the later of two suffixes of the path."""
-    n = len(rs)
-    for sigma, stair in K.entries.items():
-        first = n
-        for r, v in stair.steps:
-            r_start = bisect_left(rs, r)
-            if r_start >= first:
-                break  # later corners start later in r
-            first = min(first, max(r_start, bisect_left(ms, True, key=v.__ge__)))
-        if first < n:
-            yield first, sigma
-
-
 def slice_persistence(
-    K: BifilteredComplex, path: MonotonePath, max_degree: int | None = None
+    K: BifilteredComplex,
+    m: float,
+    r_grid: Sequence[float] | None = None,
+    max_degree: int | None = None,
 ) -> Barcode:
-    """Persistence barcode of K restricted to a monotone parameter path.
+    """Persistence barcode of K along r at the constant mass m.
 
-    A simplex enters at the first path step where its staircase admits it;
-    bars are reported in the path's time stamps.
+    A simplex enters at the radius of its first corner that admits m. With
+    r_grid, a nondecreasing sequence of radii, it enters at the first grid
+    radius at or above that, and not at all when the grid ends below it.
     """
     if max_degree is None:
         max_degree = max(K.dim_cap - 1, 0)
-    ms, rs = zip(*path.points)
-    entered = [(path.times[i], len(s), s) for i, s in _entry_steps(K, ms, rs)]
+    corners = _Corners.of(K)
+    sims, first = corners.entering(float(m))
+    # + 0.0: a -0.0 corner enters at 0.0
+    pairs = zip(sims.tolist(), (corners.r[first] + 0.0).tolist())
+    if r_grid is not None:
+        grid = [float(r) for r in r_grid]
+        if not grid:
+            raise NonMonotonePath("an r grid needs at least one radius")
+        for a, b in zip(grid, grid[1:]):
+            if b < a:
+                raise NonMonotonePath(f"r grid moved backwards: {a} then {b}")
+        snapped = [(i, bisect_left(grid, t)) for i, t in pairs]
+        pairs = [(i, grid[j]) for i, j in snapped if j < len(grid)]
+    simplices = corners.simplices
+    entered = [(t, len(simplices[i]), simplices[i]) for i, t in pairs]
     return _persistence_pairs(entered, max_degree)
 
 

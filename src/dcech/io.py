@@ -179,16 +179,19 @@ def _table_row(line: str) -> tuple[Simplex, Staircase]:
     steps = []
     for token in tail.split():
         r_text, m_text = token.split(":")
-        steps.append((float(r_text), float(m_text)))
+        corner = (float(r_text), float(m_text))
+        if math.isnan(corner[0]) or math.isnan(corner[1]):
+            raise ValueError(f"corner {token!r} is nan")
+        steps.append(corner)
     return sigma, Staircase(tuple(steps))
 
 
 def read_staircase_table(path: str) -> BifilteredComplex:
     """Read a staircase table and validate it as a bifiltration.
 
-    Every defect (bad syntax, a repeated or unsorted simplex, a face that is
-    missing or below its coface, a simplex outside the universe or above
-    dim_cap) is a ParseError naming the offending line.
+    Every defect (bad syntax, a nan corner, a repeated or unsorted simplex,
+    a face that is missing or below its coface, a simplex outside the
+    universe or above dim_cap) is a ParseError naming the offending line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()

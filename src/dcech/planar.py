@@ -155,7 +155,9 @@ def ambient_dc_planar(
     for c_mask in range(1, full):
         members = [k for k in range(s) if c_mask >> k & 1]
         rad[c_mask] = minimum_enclosing_ball([pts[k] for k in members])[1]
-        mass[c_mask] = sum(wts[k] for k in members)
+        # the members' weights added left to right, as the degree tables do
+        top = members[-1]
+        mass[c_mask] = mass[c_mask ^ 1 << top] + wts[top]
 
     entries: dict[Simplex, Staircase] = {}
     for size in range(1, min(dim_cap + 2, s + 1)):

@@ -14,7 +14,9 @@ from a loop over (simplex, radius) pairs, and the metric closure and
 triangle check from loops over (k, i, j). The correspondence complex comes
 from every combination of related pairs instead of an extension walk, and
 Dowker pair checks and distance-to-measure values from one int ball mask per
-cell instead of tables. Geometric primitives (midpoint,
+cell instead of tables, and constant-m slices from a walk along a sampled
+monotone path, with a bisect per corner and step, instead of each simplex's
+first admitting corner; the walk shares the library's column reduction. Geometric primitives (midpoint,
 circumcenter, point distance) are shared formula-for-formula with the library
 on purpose: exact set-equality checks at breakpoints need the two sides to
 round identically, and the value of the oracle is the independent search, not
@@ -25,15 +27,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 from operator import add
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from dcech import (
     AsymmetryError,
+    Barcode,
     BifilteredComplex,
     ConditionSlack,
     CoordMismatch,
@@ -43,12 +48,15 @@ from dcech import (
     IndexOutOfRange,
     InterleavingReport,
     NegativeDistanceError,
+    NonMonotonePath,
     ProhorovCheck,
     SetBifiltration,
     SimplicialComplex,
     Staircase,
     TriangleViolation,
 )
+from dcech.core import Simplex
+from dcech.homology import _persistence_pairs
 
 Point = tuple[float, float]
 
@@ -877,6 +885,110 @@ def bottleneck_brute(bars0, bars1) -> float:
                         cost = max(cost, _drop_cost(b1[j]))
                 best = min(best, cost)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Slices walked along a sampled monotone path
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MonotonePath:
+    """A finite path through parameter space with nonincreasing m and
+    nondecreasing r, plus a strictly increasing time stamp per step.
+
+    Bars produced by slice persistence are reported in these time stamps.
+    """
+
+    points: tuple[tuple[float, float], ...]
+    times: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        pts = tuple((float(m), float(r)) for m, r in self.points)
+        ts = tuple(float(t) for t in self.times)
+        if not pts:
+            raise NonMonotonePath("a path needs at least one point")
+        if len(pts) != len(ts):
+            raise NonMonotonePath("points and times must align")
+        for (m0, r0), (m1, r1) in zip(pts, pts[1:]):
+            if m1 > m0 or r1 < r0:
+                raise NonMonotonePath(
+                    f"path moved backwards: ({m0},{r0}) then ({m1},{r1})"
+                )
+        for t0, t1 in zip(ts, ts[1:]):
+            if not t0 < t1:
+                raise NonMonotonePath("times must be strictly increasing")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "times", ts)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @classmethod
+    def at_constant_m(cls, m: float, r_values: Sequence[float]) -> "MonotonePath":
+        # order is kept as given so a decreasing grid is rejected, not hidden
+        rs: list[float] = []
+        for r in r_values:
+            r = float(r)
+            if not rs or r != rs[-1]:
+                rs.append(r)
+        return cls(tuple((m, r) for r in rs), tuple(rs))
+
+    @classmethod
+    def diagonal(
+        cls, m0: float, r0: float, t_values: Sequence[float]
+    ) -> "MonotonePath":
+        ts = sorted(set(float(t) for t in t_values))
+        if any(t < 0 for t in ts):
+            raise NonMonotonePath("diagonal parameters must be >= 0")
+        return cls(tuple((m0 - t, r0 + t) for t in ts), tuple(ts))
+
+
+def _entry_steps(
+    K: BifilteredComplex, ms: Sequence[float], rs: Sequence[float]
+) -> Iterator[tuple[int, Simplex]]:
+    """(first step, simplex) for each simplex entering a path with
+    nonincreasing ms and nondecreasing rs. A corner (r_k, v_k) admits the
+    steps where ``not rs[i] < r_k`` and ``v_k >= ms[i]``, as in
+    Staircase.present: the later of two suffixes of the path."""
+    n = len(rs)
+    for sigma, stair in K.entries.items():
+        first = n
+        for r, v in stair.steps:
+            r_start = bisect_left(rs, r)
+            if r_start >= first:
+                break  # later corners start later in r
+            first = min(first, max(r_start, bisect_left(ms, True, key=v.__ge__)))
+        if first < n:
+            yield first, sigma
+
+
+def slice_persistence_sampled(
+    K: BifilteredComplex, path: MonotonePath, max_degree: int | None = None
+) -> Barcode:
+    """Persistence barcode of K restricted to a monotone parameter path.
+
+    A simplex enters at the first path step where its staircase admits it;
+    bars are reported in the path's time stamps.
+    """
+    if max_degree is None:
+        max_degree = max(K.dim_cap - 1, 0)
+    ms, rs = zip(*path.points)
+    entered = [(path.times[i], len(s), s) for i, s in _entry_steps(K, ms, rs)]
+    return _persistence_pairs(entered, max_degree)
+
+
+def constant_m_sampled(
+    K: BifilteredComplex, m: float, r_grid=None, max_degree: int | None = None
+) -> Barcode:
+    """A constant-m slice walked over r_grid, or without one over 0 and every
+    corner radius, as the command line sampled it."""
+    if r_grid is None:
+        rs = {0.0}
+        for stair in K.entries.values():
+            rs.update(r for r, _ in stair.steps)
+        r_grid = tuple(sorted(rs))
+    return slice_persistence_sampled(K, MonotonePath.at_constant_m(m, r_grid), max_degree)
 
 
 def bars_alive(bars, t: float) -> int:

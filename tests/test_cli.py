@@ -7,12 +7,16 @@ verification suite or epsilon check fails, 2 on usage or data errors.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcech import (
     DiscreteMeasure,
@@ -241,6 +245,8 @@ BAD_TABLES = {
         ),
         10, "simplex (0, 1, 2) exceeds dim_cap 1",
     ),
+    "nan radius": (TABLE_HEAD + "0\t0.0:1.0\n1\tnan:1.0\n", 5, "corner 'nan:1.0' is nan"),
+    "nan value": (TABLE_HEAD + "0\t0.0:nan\n", 4, "corner '0.0:nan' is nan"),
 }
 
 
@@ -542,3 +548,67 @@ class TestUsage:
         )
         assert code == 0
         assert os.path.exists(nested / "staircases.txt")
+
+
+NUMBER_TEXTS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "2.5", "-1", "-0", "1e-300", "1e309", "inf", "-inf", "nan", "NaN",
+         "x", "", " ", "1_0", "0x1", "+3", "--1"]
+    ),
+    st.floats().map(repr),
+)
+GRID_TEXTS = st.one_of(
+    st.lists(NUMBER_TEXTS, max_size=6).map(",".join), st.text(max_size=8)
+)
+SLICE_SPECS = st.one_of(
+    NUMBER_TEXTS.map(lambda t: "m=" + t),
+    st.tuples(NUMBER_TEXTS, NUMBER_TEXTS).map(lambda p: f"diag {p[0]},{p[1]}"),
+    st.lists(NUMBER_TEXTS, max_size=3).map(lambda ts: "diag " + " ".join(ts)),
+    st.text(max_size=10),
+)
+
+
+@pytest.fixture(scope="module")
+def weighted_artifact(tmp_path_factory):
+    root = tmp_path_factory.mktemp("texts")
+    space = FiniteMetricSpace.from_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (3.0, 0.5)])
+    K = intrinsic_dc(space, DiscreteMeasure((1.0, 2.0, 1.0, 3.0)), 2)
+    path = root / "staircases.txt"
+    write_staircase_table(K, str(path))
+    return str(path), str(root / "out")
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, stdout, stderr):
+    assert code in (0, 2)
+    if code == 0:
+        assert stderr == ""
+    else:
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+class TestParameterTexts:
+    """Any slice spec or grid text ends in exit 0, or in exit 2 with one
+    stderr line: no traceback, whatever the parser or the kernel meets."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(spec=SLICE_SPECS, r_grid=st.one_of(st.none(), GRID_TEXTS))
+    def test_slice(self, weighted_artifact, spec, r_grid):
+        table, _ = weighted_artifact
+        grid = [] if r_grid is None else [f"--r-grid={r_grid}"]
+        assert_clean_exit(*run_quiet(["slice", "--artifact", table] + grid + ["--", spec]))
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(r_grid=GRID_TEXTS, m_grid=GRID_TEXTS)
+    def test_hilbert(self, weighted_artifact, r_grid, m_grid):
+        table, out = weighted_artifact
+        argv = ["hilbert", "--artifact", table, f"--r-grid={r_grid}",
+                f"--m-grid={m_grid}", "--max-degree", "1", "--out", out]
+        assert_clean_exit(*run_quiet(argv))

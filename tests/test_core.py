@@ -1,4 +1,4 @@
-"""Metric spaces, measures, staircases, complexes, shifts, and paths."""
+"""Metric spaces, measures, staircases, complexes, and shifts."""
 
 import math
 import random
@@ -18,16 +18,12 @@ from dcech import (
     InvalidComplex,
     InvalidStaircase,
     MetricError,
-    MonotonePath,
     NegativeDistanceError,
     NonMonotonePath,
     SimplicialComplex,
     Staircase,
     TriangleViolation,
-    ball,
-    common_ball,
     grid_with_midpoints,
-    offset,
     pointwise_max,
     validate_forward_shift,
     validate_metric,
@@ -184,21 +180,6 @@ class TestDiscreteMeasure:
     def test_restrict_reindexes(self):
         mu = DiscreteMeasure((1.0, 0.0, 2.5))
         assert mu.restrict([2, 0]).weights == (2.5, 1.0)
-
-
-class TestBalls:
-    def test_ball_on_line(self):
-        assert ball(L3, 0, 1.0) == frozenset({0, 1})
-        assert ball(L3, 1, 2.0) == frozenset({0, 1, 2})
-        assert ball(L3, 2, 0.5) == frozenset({2})
-
-    def test_common_ball(self):
-        assert common_ball(L3, (0, 2), 2.0) == frozenset({1})
-        assert common_ball(L3, (0, 2), 1.0) == frozenset()
-
-    def test_offset(self):
-        assert offset(L3, [0], 1.0) == frozenset({0, 1})
-        assert offset(L3, [0, 2], 0.5) == frozenset({0, 2})
 
 
 class TestStaircase:
@@ -400,34 +381,3 @@ class TestForwardShift:
         bad = ForwardShift.from_callables(lambda m, r: m + 1.0, lambda m, r: r)
         with pytest.raises(NonMonotonePath):
             validate_forward_shift(bad, [0.0], [0.0])
-
-
-class TestMonotonePath:
-    def test_constant_m_keeps_user_order(self):
-        path = MonotonePath.at_constant_m(1.0, [0.0, 1.0, 1.0, 2.0])
-        assert path.points == ((1.0, 0.0), (1.0, 1.0), (1.0, 2.0))
-        assert path.times == (0.0, 1.0, 2.0)
-
-    def test_constant_m_rejects_decreasing(self):
-        with pytest.raises(NonMonotonePath):
-            MonotonePath.at_constant_m(1.0, [2.0, 1.0])
-
-    def test_diagonal(self):
-        path = MonotonePath.diagonal(3.0, 0.5, [0.0, 1.0])
-        assert path.points == ((3.0, 0.5), (2.0, 1.5))
-
-    def test_diagonal_rejects_negative_t(self):
-        with pytest.raises(NonMonotonePath):
-            MonotonePath.diagonal(3.0, 0.5, [-1.0])
-
-    def test_backwards_m_rejected(self):
-        with pytest.raises(NonMonotonePath):
-            MonotonePath(((1.0, 0.0), (2.0, 1.0)), (0.0, 1.0))
-
-    def test_times_strictly_increase(self):
-        with pytest.raises(NonMonotonePath):
-            MonotonePath(((1.0, 0.0), (1.0, 1.0)), (0.0, 0.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(NonMonotonePath):
-            MonotonePath((), ())

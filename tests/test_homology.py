@@ -16,9 +16,10 @@ from dcech import (
     BifilteredComplex,
     DiscreteMeasure,
     FiniteMetricSpace,
-    MonotonePath,
+    NonMonotonePath,
     NotAnInclusion,
     SimplicialComplex,
+    Staircase,
     UnsupportedDimension,
     ambient_dc_finite,
     ambient_dc_planar,
@@ -29,9 +30,17 @@ from dcech import (
     grid_with_midpoints,
     inclusion_induces_iso,
     intrinsic_dc,
+    format_barcode,
     slice_persistence,
 )
-from .oracles import bars_alive, betti_dense, bottleneck_brute
+from .oracles import (
+    MonotonePath,
+    bars_alive,
+    betti_dense,
+    bottleneck_brute,
+    constant_m_sampled,
+    slice_persistence_sampled,
+)
 
 RT2 = math.sqrt(2.0)
 
@@ -179,10 +188,10 @@ class TestSlicePersistence:
     def test_l3_constant_mass_slice(self):
         space = FiniteMetricSpace.from_points([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
         K = intrinsic_dc(space, DiscreteMeasure.counting(3))
-        path = MonotonePath.at_constant_m(1.0, [0.0, 1.0, 2.0])
-        bars = slice_persistence(K, path)
-        assert bars.degree(0) == ((0.0, 1.0), (0.0, 2.0), (0.0, math.inf))
-        assert bars.degree(1) == ()
+        for grid in (None, [0.0, 1.0, 2.0]):
+            bars = slice_persistence(K, 1.0, grid)
+            assert bars.degree(0) == ((0.0, 1.0), (0.0, 2.0), (0.0, math.inf))
+            assert bars.degree(1) == ()
 
     def test_square_hollow_shell(self):
         space = FiniteMetricSpace.from_points(
@@ -192,8 +201,7 @@ class TestSlicePersistence:
         # at r=1 every pair and triple has a corner witness but the full
         # simplex does not: the slice passes through a hollow 3-simplex shell
         assert betti(K.complex_at(1.0, 1.0), 2) == (1, 0, 1)
-        path = MonotonePath.at_constant_m(1.0, [0.0, 0.5, 1.0, RT2, 2.0])
-        bars = slice_persistence(K, path)
+        bars = slice_persistence(K, 1.0, [0.0, 0.5, 1.0, RT2, 2.0])
         assert bars.degree(0) == (
             (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, math.inf)
         )
@@ -206,41 +214,59 @@ class TestSlicePersistence:
         )
         K = intrinsic_dc(space, DiscreteMeasure.counting(4))
         rs = [0.0, 0.5, 1.0, RT2, 2.0]
-        bars = slice_persistence(K, MonotonePath.at_constant_m(1.0, rs))
+        bars = slice_persistence(K, 1.0, rs)
         for r in rs:
             bv = betti(K.complex_at(1.0, r), 2)
             for k in range(3):
                 assert bars_alive(bars.degree(k), r) == bv[k], (k, r)
 
+    def test_grid_snaps_up_and_drops_late_entries(self):
+        space = FiniteMetricSpace.from_points([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
+        K = intrinsic_dc(space, DiscreteMeasure.counting(3))
+        # vertices enter at 0 and show at 0.5, edge 01 at 1 shows at 1.5, and
+        # edge 12 at 2 is past the grid
+        bars = slice_persistence(K, 1.0, [0.5, 1.5], 0)
+        assert bars.degree(0) == ((0.5, 1.5), (0.5, math.inf), (0.5, math.inf))
+
+    def test_rejects_backwards_and_empty_grids(self):
+        K = SEEDED[0]
+        with pytest.raises(NonMonotonePath, match="backwards"):
+            slice_persistence(K, 1.0, [2.0, 1.0])
+        with pytest.raises(NonMonotonePath):
+            slice_persistence(K, 1.0, [])
+
+
+def midpoints(values):
+    return [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+
 
 class TestSliceBetweenCorners:
-    """Paths whose steps fall strictly between staircase corners: at every
-    step the bars alive equal the Betti vector of the slice there."""
-
-    @staticmethod
-    def midpoints(values):
-        return [(a + b) / 2.0 for a, b in zip(values, values[1:])]
-
-    def check(self, K, path):
-        bars = slice_persistence(K, path, 2)
-        for (m, r), t in zip(path.points, path.times):
-            want = betti(K.complex_at(m, r), 2)
-            assert tuple(bars_alive(bars.degree(k), t) for k in range(3)) == want, (m, r)
-        ends = {e for k in bars.degrees() for bar in bars.degree(k) for e in bar}
-        assert ends <= set(path.times) | {math.inf}
+    """Slices sampled strictly between staircase corners: at every sample
+    the bars alive equal the Betti vector of the slice there."""
 
     @pytest.mark.parametrize("K", SEEDED)
     def test_constant_m(self, K):
         rs, ms = K.critical_grid()
-        for m in self.midpoints(ms) + [ms[0], -math.inf]:
-            self.check(K, MonotonePath.at_constant_m(m, self.midpoints(rs)))
+        grid = midpoints(rs)
+        for m in midpoints(ms) + [ms[0], -math.inf]:
+            bars = slice_persistence(K, m, grid, 2)
+            for r in grid:
+                want = betti(K.complex_at(m, r), 2)
+                assert tuple(bars_alive(bars.degree(k), r) for k in range(3)) == want, (m, r)
+            ends = {e for k in bars.degrees() for bar in bars.degree(k) for e in bar}
+            assert ends <= set(grid) | {math.inf}
 
     @pytest.mark.parametrize("K", SEEDED)
     def test_diagonal(self, K):
-        rs, ms = K.critical_grid()
-        ts = self.midpoints(sorted(set(rs) | {r + 0.5 for r in rs}))
-        for m0 in (ms[-1], self.midpoints(ms)[0] + 1.0):
-            self.check(K, MonotonePath.diagonal(m0, 0.0, ts))
+        corners = [c for stair in K.entries.values() for c in stair.steps]
+        _, ms = K.critical_grid()
+        for m0 in (ms[-1], midpoints(ms)[0] + 1.0):
+            bars = diagonal_barcode(K, m0, 0.0, 2)
+            # the slice changes only where a corner enters the path
+            changes = sorted({0.0} | {max(r, m0 - v) for r, v in corners} - {math.inf})
+            for t in midpoints(changes) + [changes[-1] + 1.0]:
+                want = betti(K.complex_at(m0 - t, t), 2)
+                assert tuple(bars_alive(bars.degree(k), t) for k in range(3)) == want, t
 
 
 class TestNoPerCellSlicing:
@@ -254,9 +280,75 @@ class TestNoPerCellSlicing:
         monkeypatch.setattr(BifilteredComplex, "complex_at", forbidden)
         monkeypatch.setattr(SimplicialComplex, "__init__", forbidden)
         assert len(betti_table(K).values) == len(grid_with_midpoints(ms))
-        slice_persistence(K, MonotonePath.at_constant_m(ms[0], rs))
-        slice_persistence(K, MonotonePath.diagonal(ms[-1], 0.0, rs))
+        slice_persistence(K, ms[0])
+        slice_persistence(K, ms[0], rs)
         diagonal_barcode(K, ms[-1], 0.0, 2)
+
+
+def hand_built_complexes():
+    """Tables no builder makes: negative, -0.0 and infinite corner radii, and
+    the empty complex."""
+    inf = math.inf
+    steps = {
+        (0,): ((-1.0, 1.0), (0.5, 3.0)),
+        (1,): ((-0.0, 2.0), (inf, 4.0)),
+        (2,): ((0.0, 1.0), (2.5, 2.0)),
+        (3,): ((inf, 5.0),),
+        (0, 1): ((0.5, 1.0), (2.0, 2.0)),
+        (0, 2): ((1.5, 1.0),),
+        (1, 2): ((-0.0, 0.5), (1.0, 1.0), (inf, 2.0)),
+        (1, 3): ((inf, 4.0),),
+        (0, 1, 2): ((3.0, 0.5), (inf, 1.0)),
+    }
+    K = BifilteredComplex((0, 1, 2, 3), {s: Staircase(st) for s, st in steps.items()}, 2)
+    K.validate()
+    return [K, BifilteredComplex((0, 1), {}, 2)]
+
+
+HAND_BUILT = hand_built_complexes()
+
+
+class TestSliceKernelMatchesSampledWalk:
+    """The closed-form constant-m slice gives the barcode of the former walk
+    along a sampled path, printed alike, for masses at, between and beyond
+    the values and for grids on, between and short of the corners."""
+
+    @pytest.mark.parametrize("K", SEEDED + HAND_BUILT)
+    def test_constant_m(self, K):
+        rs, ms = K.critical_grid()
+        masses = list(ms) + midpoints(ms) + [-math.inf, math.inf, math.nan]
+        grids = [None, [0.0], [-math.inf], [math.inf]]
+        if rs:
+            finite = [r for r in rs if math.isfinite(r)]
+            grids += [
+                midpoints(rs),
+                list(rs) + [math.inf],
+                list(rs[: len(rs) // 2]),
+                [rs[len(rs) // 2]],
+                midpoints(finite)[len(finite) // 2 :],
+            ]
+        for m in masses:
+            for grid in grids:
+                got = slice_persistence(K, m, grid, 2)
+                want = constant_m_sampled(K, m, grid, 2)
+                assert got.intervals == want.intervals, (m, grid)
+                assert format_barcode(got.intervals, 2) == format_barcode(
+                    want.intervals, 2
+                ), (m, grid)
+
+    def test_empty_complex_table(self):
+        table = betti_table(HAND_BUILT[1], [1.0, math.nan], [0.0, math.inf], 1)
+        assert table.values == (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+
+    def test_hand_built_betti_table_cells(self):
+        K = HAND_BUILT[0]
+        rs, ms = K.critical_grid()
+        m_grid = list(ms) + midpoints(ms) + [-math.inf, math.inf, math.nan]
+        r_grid = list(rs) + midpoints(rs) + [-2.0, -math.inf, math.nan]
+        table = betti_table(K, m_grid, r_grid, 1)
+        for i, m in enumerate(m_grid):
+            for j, r in enumerate(r_grid):
+                assert table.at(i, j) == betti(K.complex_at(m, r), 1), (m, r)
 
 
 class TestDiagonalBarcode:
@@ -267,7 +359,7 @@ class TestDiagonalBarcode:
         K = intrinsic_dc(space, DiscreteMeasure.counting(4))
         got = diagonal_barcode(K, 2.0, 0.0, 2)
         path = MonotonePath.diagonal(2.0, 0.0, [0.0, 1.0, RT2, 2.0])
-        want = slice_persistence(K, path, 2)
+        want = slice_persistence_sampled(K, path, 2)
         assert got.intervals == want.intervals
         assert got.degree(0) == ((1.0, math.inf),)
         assert got.degree(2) == ((1.0, RT2),)

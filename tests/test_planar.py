@@ -8,17 +8,23 @@ agreement is bitwise.
 
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 
 from dcech import (
+    DegreeBifiltration,
     DimensionMismatch,
     DiscreteMeasure,
+    DowkerDissimilarity,
     EmptySupport,
     FiniteMetricSpace,
     MissingCoordinates,
+    ambient_dc_finite,
     ambient_dc_planar,
     circumcenter,
+    measure_bifiltration_points,
     minimum_enclosing_ball,
     planar_breakpoints,
 )
@@ -144,3 +150,31 @@ class TestAmbientDcPlanar:
         space = FiniteMetricSpace.from_points(S4)
         with pytest.raises(DimensionMismatch):
             ambient_dc_planar(space, DiscreteMeasure.counting(3))
+
+
+class TestOneRoundingPath:
+    """Masses add left to right from 0.0 in every builder. Ten weights of 0.1
+    sum to 1.0 with compensation (sum() from Python 3.12 on) but to
+    0.9999999999999999 left to right, so a second rounding path shows here."""
+
+    def test_ten_tenths_in_one_ball(self):
+        pts = [(0.01 * k, 0.0) for k in range(10)]
+        space = FiniteMetricSpace.from_points(pts)
+        mu = DiscreteMeasure((0.1,) * 10)
+        folded = reduce(add, mu.weights, 0.0)
+        assert folded != 1.0
+        planar = ambient_dc_planar(space, mu, 1)
+        finite = ambient_dc_finite(space, mu, 1)
+        f = DegreeBifiltration(DowkerDissimilarity.from_metric(space), mu)
+        whole = [(0,), (0, 9)]
+        values = {
+            "planar": [planar.entries[s].max_value for s in whole],
+            "ambient-finite": [finite.entries[s].max_value for s in whole],
+            "table": f.table(whole, [1.0])[:, 0].tolist(),
+            "measure": [mu.total, mu.mass(range(10))],
+        }
+        assert {k: [v.hex() for v in vs] for k, vs in values.items()} == {
+            k: [folded.hex()] * 2 for k in values
+        }
+        assert measure_bifiltration_points(space, mu, folded, 1.0) == frozenset(range(10))
+        assert measure_bifiltration_points(space, mu, 1.0, 1.0) == frozenset()
