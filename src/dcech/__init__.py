@@ -33,7 +33,6 @@ from .core import (
     Staircase,
     as_simplex,
     grid_with_midpoints,
-    pointwise_max,
     validate_forward_shift,
     validate_metric,
 )

@@ -16,12 +16,14 @@ every witness in it is heavy and their balls share a point. The nerve of f
 is only a subcomplex of that nerve (it asks the common ball itself to carry
 mass m), so the nerve of f and the dual can differ in homology.
 
-Degree values come in tables, one row per simplex and one column per radius:
-a radius is rounded down to the largest level (finite entry of Lambda) at or
-below it, a point is in sigma's common ball when the max over sigma of its
-Lambda entries is at most that level, and the ball's weights are added in
-point order. f.value is one cell of such a table. The dual reads Lambda
-directly, as an upper envelope over witnesses.
+Every ball is read by one rule: y is in the ball of x at radius r when
+Lambda(x, y) <= r, so every ball is empty at r = -inf and holds all of Y at
+r = inf; a nan radius reads as the largest finite entry. Degree values come
+in tables, one row per simplex and one column per radius: a point is in
+sigma's common ball when the max over sigma of its Lambda entries passes
+that rule, and the ball's weights are added in point order. f.value is one
+cell of such a table. The dual reads Lambda directly, as an upper envelope
+over witnesses.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .core import (
     SimplicialComplex,
     Staircase,
     as_simplex,
-    pointwise_max,
 )
 from .errors import (
     DimensionMismatch,
@@ -82,6 +83,26 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def _mask_nerve(masks: Sequence[int], max_size: int) -> frozenset[Simplex]:
+    """The index tuples of at most max_size masks whose AND is nonzero.
+
+    Every face of such a tuple has a superset of its AND, so the set is
+    downward closed.
+    """
+    live = [i for i, mk in enumerate(masks) if mk]
+    out = []
+    for size in range(1, min(max_size, len(live)) + 1):
+        for combo in combinations(live, size):
+            common = -1
+            for i in combo:
+                common &= masks[i]
+                if not common:
+                    break
+            if common:
+                out.append(combo)
+    return frozenset(out)
+
+
 def _radius_rows(count: int, rs: Sequence | np.ndarray) -> np.ndarray:
     """rs as one row of radii per simplex: a single grid is shared by all."""
     radii = np.asarray(rs, dtype=float)
@@ -97,16 +118,13 @@ class DowkerDissimilarity:
     """A nonnegative |X| x |Y| dissimilarity matrix, entries may be inf.
 
     X indexes witnesses, Y indexes the vertex universe of dual complexes.
-    The Lambda-ball of x at radius r holds the points y with Lambda(x, y) at
-    most the threshold of r: the largest level (finite entry) at or below r,
-    -inf below the first level, and inf when r is infinite. A nan radius has
-    the last level as its threshold. ``ball_mask(x, r)`` is that ball as a
-    bitmask over Y.
+    The Lambda-ball of x at radius r holds the points y with Lambda(x, y) <= r;
+    a nan radius reads as the last level (the largest finite entry), as
+    Staircase.value reads nan past every corner.
     """
 
     matrix: np.ndarray
     _levels: tuple[float, ...] = field(init=False, repr=False)
-    _floors: np.ndarray = field(init=False, repr=False)  # -inf, then the levels
     _padded: np.ndarray = field(init=False, repr=False)  # matrix, then a -inf row
 
     def __post_init__(self) -> None:
@@ -119,7 +137,6 @@ class DowkerDissimilarity:
         object.__setattr__(self, "matrix", m)
         finite = sorted(set(float(v) for v in m.ravel() if math.isfinite(v)))
         object.__setattr__(self, "_levels", tuple(finite))
-        object.__setattr__(self, "_floors", np.array([-math.inf] + finite))
         padded = np.vstack((m, np.full((1, m.shape[1]), -math.inf)))
         object.__setattr__(self, "_padded", padded)
 
@@ -150,17 +167,21 @@ class DowkerDissimilarity:
         return self._levels
 
     def _thresholds(self, rs: np.ndarray) -> np.ndarray:
-        """The ball threshold of every radius in an array."""
-        # searchsorted, like bisect_right, puts nan after every level
-        floor = self._floors[np.searchsorted(self._floors[1:], rs, side="right")]
-        return np.where(np.isinf(rs), math.inf, floor)
+        """The ball threshold of every radius in an array: the radius itself,
+        and the last level (-inf when there is none) for a nan radius."""
+        last = self._levels[-1] if self._levels else -math.inf
+        return np.where(np.isnan(rs), last, rs)
+
+    def _related(self, r: float) -> np.ndarray:
+        """related[x, y] when y is in the ball of x at radius r."""
+        return self.matrix <= self._thresholds(np.array(float(r)))
 
     def _enter(self, sigmas: Sequence[Sequence[int]]) -> np.ndarray:
         """enter[i, y] is the max of Lambda(x, y) over x in sigmas[i].
 
         y is in the common ball of sigmas[i] at r when enter[i, y] is at most
-        the threshold of r; the empty simplex has enter -inf, so its ball is
-        all of Y.
+        the threshold of r (see _thresholds); the empty simplex has enter
+        -inf, so its ball is all of Y.
         """
         for sigma in sigmas:
             for x in sigma:
@@ -171,13 +192,6 @@ class DowkerDissimilarity:
         idx = [list(s) + [self.nx] * (width - len(s)) for s in sigmas]
         rows = np.array(idx, dtype=np.intp).reshape(len(sigmas), width)
         return self._padded[rows].max(axis=1, initial=-math.inf)
-
-    def ball_mask(self, x: int, r: float) -> int:
-        return self.common_ball_mask((x,), r)
-
-    def common_ball_mask(self, sigma: Iterable[int], r: float) -> int:
-        inside = self._enter([list(sigma)])[0] <= self._thresholds(np.array(float(r)))
-        return _mask_of(np.flatnonzero(inside).tolist())
 
 
 class SetBifiltration:
@@ -509,8 +523,8 @@ def rectangle_complex(
 
     A set U of pairs is a simplex when its X projection satisfies
     f(proj_X U, r) >= m, its Y projection lies in the dual complex at (m, r),
-    and Lambda(x, y) <= r for every pair in U. Vertices are flattened as
-    x * |Y| + y.
+    and every pair (x, y) in U is related: y lies in the ball of x at r.
+    Vertices are flattened as x * |Y| + y.
 
     This is not Dowker's rectangle complex: only the pairs in U must be
     related, not every pair of proj_X U x proj_Y U, so its homology can
@@ -532,13 +546,13 @@ def rectangle_complex(
     ]
     passed = f.table(subsets, rs)[:, 0] >= m
     x_ok = {1 << x for x in heavy} | {_mask_of(s) for s, ok in zip(subsets, passed) if ok}
+    related = dowker._related(r)
     # witnesses[y]: a bitmask over heavy of the witnesses whose ball holds y
-    inside = dowker.matrix[heavy] <= dowker._thresholds(np.array(float(r)))
-    witnesses = [_mask_of(np.flatnonzero(col).tolist()) for col in inside.T]
+    witnesses = [_mask_of(np.flatnonzero(col).tolist()) for col in related[heavy].T]
     # the pairs that are vertices, as (vertex id, X mask, witness mask)
     cells = [
         (x * ny + y, 1 << x, witnesses[y])
-        for x, y in np.argwhere(dowker.matrix <= r).tolist()
+        for x, y in np.argwhere(related).tolist()
         if (1 << x) in x_ok and witnesses[y]
     ]
     # each simplex with the index of its last pair and its two masks
@@ -591,41 +605,25 @@ def cover_nerve(
     when the common ball of tau still meets the dense region.
     """
     inside, mass = _balls(space, measure, r)
-    dense_mask = _mask_of(np.flatnonzero(mass >= m).tolist())
-    n = space.n
-    ballm = [_mask_of(np.flatnonzero(row).tolist()) for row in inside]
-    verts = [y for y in range(n) if ballm[y] & dense_mask]
-    simplices: set[Simplex] = set()
-    for size in range(1, min(dim_cap + 2, len(verts) + 1)):
-        for tau in combinations(verts, size):
-            mask = dense_mask
-            for y in tau:
-                mask &= ballm[y]
-                if not mask:
-                    break
-            if mask:
-                simplices.add(tau)
-    # every face of tau keeps a superset of tau's ball, so the set is closed
-    return SimplicialComplex._trusted(tuple(range(n)), frozenset(simplices))
+    dense = _mask_of(np.flatnonzero(mass >= m).tolist())
+    # each ball's part of the dense region, as a bitmask over the points
+    masks = [_mask_of(np.flatnonzero(row).tolist()) & dense for row in inside]
+    simplices = _mask_nerve(masks, dim_cap + 1)
+    return SimplicialComplex._trusted(tuple(range(space.n)), simplices)
 
 
 def restrict_to_support(
     K: BifilteredComplex, keep: Iterable[int]
 ) -> BifilteredComplex:
-    """Restriction of a bifiltered complex to a vertex subset.
+    """Restriction of a bifiltered complex to a vertex subset: the entries
+    whose vertices are all kept.
 
-    The staircase of sigma is the pointwise best over entries whose
-    intersection with the kept set is sigma; for downward closed complexes
-    this is just the entry of sigma itself, but the general form is kept so
-    the operation is meaningful on any input.
+    In a downward closed complex every face dominates its cofaces, so this
+    is also the pointwise best over the entries that meet the kept set in
+    sigma.
     """
     kept = frozenset(keep)
-    grouped: dict[Simplex, list[Staircase]] = {}
-    for sigma, stair in K.entries.items():
-        inter = tuple(v for v in sigma if v in kept)
-        if inter:
-            grouped.setdefault(inter, []).append(stair)
-    entries = {s: pointwise_max(sts) for s, sts in grouped.items()}
+    entries = {s: st for s, st in K.entries.items() if kept.issuperset(s)}
     universe = tuple(v for v in K.universe if v in kept)
     return BifilteredComplex(universe, entries, K.dim_cap)
 

@@ -251,8 +251,28 @@ def _add_input_opts(p: argparse.ArgumentParser, with_artifact: bool) -> None:
         p.add_argument("--artifact", help="staircase table from a previous build")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise DcechError, so that they end in
+    one ``error:`` line and exit 2; subcommand parsers are of this class too."""
+
+    _argv: tuple[str, ...] = ()  # the arguments this parser was last given
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str):
+        option = message.removeprefix("argument ").split(":")[0]
+        if message.endswith("expected one argument") and option in self._argv:
+            i = self._argv.index(option) + 1
+            if i < len(self._argv):
+                # argparse reads a value such as -1,2 as an option of its own
+                message += f" (write {option}={self._argv[i]} for a value starting with -)"
+        raise DcechError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcech",
         description="dual degree Cech bifiltrations: build, measure, verify",
     )
@@ -304,9 +324,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         code = exc.code
         return code if isinstance(code, int) else 2
+    except DcechError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         if getattr(args, "dim_cap", 1) < 1:
             raise DcechError(f"dim_cap must be >= 1, got {args.dim_cap}")

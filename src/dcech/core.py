@@ -45,7 +45,6 @@ __all__ = [
     "BifilteredComplex",
     "ForwardShift",
     "as_simplex",
-    "pointwise_max",
     "validate_forward_shift",
     "validate_metric",
     "grid_with_midpoints",
@@ -145,13 +144,11 @@ class FiniteMetricSpace:
         cls,
         dist: Sequence[Sequence[float]],
         labels: Sequence[str] | None = None,
-        validate: bool = True,
-        tol: float = METRIC_TOL,
     ) -> "FiniteMetricSpace":
+        """A validated metric from a distance matrix (see validate_metric)."""
         space = cls(np.asarray(dist, dtype=float),
                     labels=tuple(labels) if labels is not None else None)
-        if validate:
-            validate_metric(space, tol=tol)
+        validate_metric(space)
         return space
 
     def restrict(self, ids: Sequence[int]) -> "FiniteMetricSpace":
@@ -435,26 +432,6 @@ class Staircase:
 
     def scale_r(self, factor: float) -> "Staircase":
         return Staircase(tuple((r * factor, m) for r, m in self.steps))
-
-
-def pointwise_max(stairs: Sequence[Staircase]) -> Staircase:
-    """Upper envelope of staircases (absent treated as -inf)."""
-    if not stairs:
-        raise InvalidStaircase("need at least one staircase")
-    rs = sorted({r for st in stairs for r, _ in st.steps})
-    vals: list[float | None] = []
-    # the max of nondecreasing staircases never drops once present, so the
-    # samples compress cleanly
-    for r in rs:
-        best: float | None = None
-        for st in stairs:
-            v = st.value(r)
-            if v is not None and (best is None or v > best):
-                best = v
-        vals.append(best)
-    out = Staircase.from_samples(rs, vals)
-    assert out is not None
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -476,16 +476,14 @@ def verify_set_interleaving_shift(
     beta: ForwardShift,
     r_grid: Sequence[float],
     dim_cap: int = 3,
-    swap_composites: bool = False,
 ) -> InterleavingReport:
     """Check the four shift-interleaving conditions on a radius grid.
 
     alpha transports presence from f1 to f0 along pi0, beta from f0 to f1
     along pi1: with (m', r') = alpha(f1(sigma, r), r) the first condition is
     f0(pi0 sigma, r') >= m'. The union conditions apply the composites
-    alpha-then-beta on the f1 side and beta-then-alpha on the f0 side;
-    swap_composites exchanges the two (the composite order is a documented
-    interpretation choice).
+    alpha-then-beta on the f1 side and beta-then-alpha on the f0 side (the
+    composite order is a documented interpretation choice).
     """
     n0, n1 = f0.universe_size, f1.universe_size
     _check_map(pi1, n0, n1, "pi1")
@@ -493,10 +491,8 @@ def verify_set_interleaving_shift(
     rs = sorted(set(float(r) for r in r_grid))
     sig0 = list(_simplices(n0, dim_cap))
     sig1 = list(_simplices(n1, dim_cap))
-    ab = alpha.then(beta)  # alpha first
+    ab = alpha.then(beta)  # alpha first, for the f1-side union condition
     ba = beta.then(alpha)
-    comp1 = ba if swap_composites else ab  # f1-side union condition
-    comp0 = ab if swap_composites else ba
     v0 = f0.table(sig0, rs).tolist()
     v1 = f1.table(sig1, rs).tolist()
     conds = (
@@ -510,11 +506,11 @@ def verify_set_interleaving_shift(
         ),
         _shifted(
             "shifted union with pi1 pi0",
-            v1, f1, comp1, sig1, [_union(pi0, pi1, s) for s in sig1], rs,
+            v1, f1, ab, sig1, [_union(pi0, pi1, s) for s in sig1], rs,
         ),
         _shifted(
             "shifted union with pi0 pi1",
-            v0, f0, comp0, sig0, [_union(pi1, pi0, s) for s in sig0], rs,
+            v0, f0, ba, sig0, [_union(pi1, pi0, s) for s in sig0], rs,
         ),
     )
     return InterleavingReport(conds)
@@ -614,47 +610,16 @@ def verify_complex_interleaving(
 
 
 def verify_sandwich(
-    intrinsic: BifilteredComplex,
-    ambient: BifilteredComplex,
-    m_grid: Sequence[float] | None = None,
-    r_grid: Sequence[float] | None = None,
+    intrinsic: BifilteredComplex, ambient: BifilteredComplex
 ) -> InterleavingReport:
-    """Check intrinsic_{m,r} <= ambient_{m,r} <= intrinsic_{m,2r}.
+    """Check intrinsic_{m,r} <= ambient_{m,r} <= intrinsic_{m,2r} at every (m, r).
 
-    With no grid the check is exact: staircase domination is tested at every
-    breakpoint of either side (halved breakpoints included for the doubled
-    radius), which covers all (m, r) at once. With grids the literal
-    subcomplex checks run at each grid point.
+    Staircase domination is tested at every breakpoint of either side
+    (halved breakpoints included for the doubled radius), which covers all
+    (m, r) at once.
     """
     if set(intrinsic.universe) != set(ambient.universe):
         raise DimensionMismatch("the two complexes have different universes")
-    if m_grid is not None or r_grid is not None:
-        ms = sorted(set(float(m) for m in m_grid or [1.0]))
-        rs = sorted(set(float(r) for r in r_grid or [0.0]))
-        slack1 = slack2 = math.inf
-        wit1 = wit2 = None
-        for m in ms:
-            for r in rs:
-                inner = intrinsic.complex_at(m, r)
-                mid = ambient.complex_at(m, r)
-                outer = intrinsic.complex_at(m, 2.0 * r)
-                for sigma in inner:
-                    if sigma not in mid and slack1 > -1.0:
-                        slack1, wit1 = -1.0, (sigma, m, r)
-                for sigma in mid:
-                    if sigma not in outer and slack2 > -1.0:
-                        slack2, wit2 = -1.0, (sigma, m, r)
-        if math.isinf(slack1):
-            slack1 = 0.0
-        if math.isinf(slack2):
-            slack2 = 0.0
-        return InterleavingReport(
-            (
-                ConditionSlack("intrinsic inside ambient", slack1, wit1),
-                ConditionSlack("ambient inside doubled intrinsic", slack2, wit2),
-            )
-        )
-
     slack1 = math.inf
     wit1 = None
     for sigma, stair in intrinsic.entries.items():

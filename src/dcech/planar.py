@@ -126,13 +126,11 @@ def ambient_dc_planar(
     space: FiniteMetricSpace,
     measure: DiscreteMeasure,
     dim_cap: int = 3,
-    r_grid: Sequence[float] | None = None,
 ) -> BifilteredComplex:
     """Degree Cech bifiltration of a weighted planar point set.
 
     ``space`` must carry coordinates; distances are ignored in favor of the
-    plane. Vertices are the support of the measure. With ``r_grid`` the
-    staircases are resampled onto that grid.
+    plane. Vertices are the support of the measure.
     """
     if space.coords is None:
         raise MissingCoordinates("ambient planar construction needs coordinates")
@@ -188,7 +186,4 @@ def ambient_dc_planar(
                     cur = v
             entries[tuple(sup[k] for k in sigma)] = Staircase(tuple(steps))
 
-    K = BifilteredComplex(tuple(sup), entries, dim_cap)
-    if r_grid is not None:
-        K = K.restrict_r_grid(r_grid)
-    return K
+    return BifilteredComplex(tuple(sup), entries, dim_cap)

@@ -30,13 +30,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable
+
+import numpy as np
 
 from .builders import (
     DegreeBifiltration,
     DowkerDissimilarity,
     SetBifiltration,
+    _mask_nerve,
+    _mask_of,
     ambient_dc_finite,
     cover_nerve,
     dowker_dual,
@@ -158,21 +161,21 @@ def rectangle_betti(
     """Betti vector of the correspondence complex at (m, r).
 
     The complex is the union of full simplices on the sets
-    (A x B) intersected with {dissimilarity <= r}, over maximal A in the
-    nerve and maximal B in the dual; the nerve of that cover carries the
-    same homology. A cover of more than 16 sets has too wide a nerve, so
-    then the complex itself is built, up to dimension max_degree + 1.
+    (A x B) intersected with the related pairs, over maximal A in the nerve
+    and maximal B in the dual; the nerve of that cover carries the same
+    homology. A cover of more than 16 sets has too wide a nerve, so then
+    the complex itself is built, up to dimension max_degree + 1.
     """
     ny = dowker.ny
+    # rows[x]: the points in the ball of x, as a bitmask over Y
+    rows = [_mask_of(np.flatnonzero(row).tolist()) for row in dowker._related(r)]
+    b_masks = [_mask_of(b) for b in _maximal(dual_at)]
     masks: set[int] = set()
     for a in _maximal(nf_at):
-        for b in _maximal(dual_at):
+        for b_mask in b_masks:
             mask = 0
             for x in a:
-                row = dowker.matrix[x]
-                for y in b:
-                    if row[y] <= r:
-                        mask |= 1 << (x * ny + y)
+                mask |= (rows[x] & b_mask) << (x * ny)
             if mask:
                 masks.add(mask)
     ordered = sorted(masks, key=lambda mk: -bin(mk).count("1"))
@@ -183,19 +186,8 @@ def rectangle_betti(
     if not kept:
         return (0,) * (max_degree + 1)
     if len(kept) <= 16:
-        sims: set[Simplex] = set()
-        n = len(kept)
-        for size in range(1, min(max_degree + 3, n + 1)):
-            for combo in combinations(range(n), size):
-                inter = kept[combo[0]]
-                for i in combo[1:]:
-                    inter &= kept[i]
-                    if not inter:
-                        break
-                if inter:
-                    sims.add(combo)
-        nerve = SimplicialComplex(tuple(range(n)), frozenset(sims))
-        return betti(nerve, max_degree)
+        nerve = _mask_nerve(kept, max_degree + 2)
+        return betti(SimplicialComplex._trusted(tuple(range(len(kept))), nerve), max_degree)
     return betti(rectangle_complex(dowker, f, m, r, max_degree + 1), max_degree)
 
 

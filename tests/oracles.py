@@ -11,8 +11,10 @@ over radii and witnesses with int ball masks instead of one numpy envelope
 over witnesses. Degree values come from per-level int ball masks and a sum
 over their bits instead of one numpy table per batch, interleaving reports
 from a loop over (simplex, radius) pairs, and the metric closure and
-triangle check from loops over (k, i, j). The correspondence complex comes
-from every combination of related pairs instead of an extension walk, and
+triangle check from loops over (k, i, j), and the restriction to a vertex
+subset from an envelope over every entry instead of the kept entries. The
+correspondence complex comes from every combination of related pairs
+instead of an extension walk, and
 Dowker pair checks and distance-to-measure values from one int ball mask per
 cell instead of tables, and constant-m slices from a walk along a sampled
 monotone path, with a bisect per corner and step, instead of each simplex's
@@ -47,6 +49,7 @@ from dcech import (
     DowkerConditionViolation,
     IndexOutOfRange,
     InterleavingReport,
+    InvalidStaircase,
     NegativeDistanceError,
     NonMonotonePath,
     ProhorovCheck,
@@ -313,9 +316,10 @@ def dowker_dual_reference(dowker, f, dim_cap: int = 3, y_ids=None) -> Bifiltered
     if ny > 20:
         warnings.warn(f"materializing a dual over {ny} vertices", stacklevel=2)
     rs = sorted(set((0.0,) + dowker.r_values() + tuple(f.r_breakpoints())))
+    balls = ball_reference(dowker)
     per_r: list[tuple[list[int], list[float]]] = []
     for r in rs:
-        masks = [dowker.ball_mask(x, r) for x in range(dowker.nx)]
+        masks = [balls.common_ball_mask((x,), r) for x in range(dowker.nx)]
         vals = [f.value((x,), r) for x in range(dowker.nx)]
         per_r.append((masks, vals))
     entries = {}
@@ -352,7 +356,7 @@ class DegreeReference(SetBifiltration):
 
     A radius is rounded down to the largest level (finite matrix entry) at
     or below it; the ball of x at that level is the bitmask of the y with
-    matrix[x, y] <= level. An infinite radius takes every point. The mass of
+    matrix[x, y] <= level. r = inf takes every point. The mass of
     a common ball adds its weights over the mask's bits, lowest first, from
     0.0 (sum() is not used: it compensates from Python 3.12 on).
     """
@@ -371,7 +375,7 @@ class DegreeReference(SetBifiltration):
         for x in sigma:
             if not 0 <= x < nx:
                 raise IndexOutOfRange(f"witness index {x} not in [0, {nx})")
-        if math.isinf(r):
+        if r == math.inf:
             return mask
         level = bisect_right(self.levels, r)
         thr = -math.inf if level == 0 else self.levels[level - 1]
@@ -388,6 +392,11 @@ class DegreeReference(SetBifiltration):
         return self.levels
 
 
+def ball_reference(dowker) -> DegreeReference:
+    """The balls of a dissimilarity as the reference reads them (weights 0)."""
+    return DegreeReference(dowker.matrix, (0.0,) * dowker.ny)
+
+
 # ---------------------------------------------------------------------------
 # The correspondence complex by enumerating pair combinations
 # ---------------------------------------------------------------------------
@@ -401,12 +410,14 @@ def rectangle_complex_reference(dowker, f, m: float, r: float, dim_cap: int = 3)
     witness x with f({x}, r) >= m."""
     nx, ny = dowker.nx, dowker.ny
     eligible_x = [x for x in range(nx) if f.value((x,), r) >= m]
-    ball_of = {x: dowker.ball_mask(x, r) for x in eligible_x}
+    balls = ball_reference(dowker)
+    ball_of = {x: balls.common_ball_mask((x,), r) for x in eligible_x}
+    pair_r = balls.levels[-1] if math.isnan(r) and balls.levels else r
     pairs = [
         (x, y)
         for x in range(nx)
         for y in range(ny)
-        if dowker.matrix[x, y] <= r
+        if dowker.matrix[x, y] <= pair_r
     ]
     fcache: dict[tuple[int, ...], bool] = {}
 
@@ -501,6 +512,42 @@ def wide_cover_complex_reference(dowker, f, m: float, r: float, kept, dual_at, m
 
 
 # ---------------------------------------------------------------------------
+# Restriction to a vertex subset as an upper envelope of staircases
+# ---------------------------------------------------------------------------
+# The library's former body, which did not assume a downward closed complex.
+
+
+def pointwise_max(stairs) -> Staircase:
+    """Upper envelope of staircases (absent treated as -inf)."""
+    if not stairs:
+        raise InvalidStaircase("need at least one staircase")
+    rs = sorted({r for st in stairs for r, _ in st.steps})
+    vals: list[float | None] = []
+    for r in rs:
+        best: float | None = None
+        for st in stairs:
+            v = st.value(r)
+            if v is not None and (best is None or v > best):
+                best = v
+        vals.append(best)
+    return Staircase.from_samples(rs, vals)
+
+
+def restrict_to_support_reference(K, keep) -> BifilteredComplex:
+    """sigma's staircase is the envelope of every entry whose intersection
+    with the kept set is sigma."""
+    kept = frozenset(keep)
+    grouped: dict[tuple[int, ...], list[Staircase]] = {}
+    for sigma, stair in K.entries.items():
+        inter = tuple(v for v in sigma if v in kept)
+        if inter:
+            grouped.setdefault(inter, []).append(stair)
+    entries = {s: pointwise_max(sts) for s, sts in grouped.items()}
+    universe = tuple(v for v in K.universe if v in kept)
+    return BifilteredComplex(universe, entries, K.dim_cap)
+
+
+# ---------------------------------------------------------------------------
 # Dowker pair compatibility and distance-to-measure values, one cell at a time
 # ---------------------------------------------------------------------------
 
@@ -509,11 +556,12 @@ def check_dowker_pair_reference(dowker, f, dim_cap: int = 3) -> None:
     """Raise at the first (size, sigma, r) where f > 0 on an empty ball."""
     grid = sorted(set((0.0,) + dowker.r_values() + f.r_breakpoints()))
     nx = dowker.nx
+    balls = ball_reference(dowker)
     for size in range(1, min(dim_cap + 2, nx + 1)):
         for sigma in combinations(range(nx), size):
             for r in grid:
                 if f.value(sigma, r) > 0.0 and not (
-                    dowker.common_ball_mask(sigma, r)
+                    balls.common_ball_mask(sigma, r)
                 ):
                     raise DowkerConditionViolation(
                         f"f{sigma} > 0 at r={r} but the ball is empty"
@@ -524,7 +572,7 @@ def dtm_value_reference(dowker, weights, p: float, sigma, r: float) -> float:
     """f_p(sigma, r) over the bits of the common ball mask, lowest first."""
     sig = tuple(sorted(set(sigma)))
     total = 0.0
-    for y in _bits(dowker.common_ball_mask(sig, r)):
+    for y in _bits(ball_reference(dowker).common_ball_mask(sig, r)):
         best = min(float(dowker.matrix[x, y]) for x in sig)
         w = weights[y]
         if w == 0.0:
@@ -603,16 +651,12 @@ def set_interleaving_eps_reference(f0, f1, pi1, pi0, eps, r_grid, dim_cap=3):
     )
 
 
-def set_interleaving_shift_reference(
-    f0, f1, pi1, pi0, alpha, beta, r_grid, dim_cap=3, swap_composites=False
-):
+def set_interleaving_shift_reference(f0, f1, pi1, pi0, alpha, beta, r_grid, dim_cap=3):
     rs = sorted(set(float(r) for r in r_grid))
     sig0 = list(_simplices(f0.universe_size, dim_cap))
     sig1 = list(_simplices(f1.universe_size, dim_cap))
-    ab = alpha.then(beta)
-    ba = beta.then(alpha)
-    comp1 = ba if swap_composites else ab
-    comp0 = ab if swap_composites else ba
+    comp1 = alpha.then(beta)
+    comp0 = beta.then(alpha)
 
     def lhs(f, shift):
         return lambda s, r: shift(f.value(s, r), r)[0]

@@ -34,6 +34,7 @@ from dcech import (
     Staircase,
     TableBifiltration,
     ambient_dc_finite,
+    ambient_dc_planar,
     betti,
     cover_nerve,
     dowker_dual,
@@ -44,14 +45,21 @@ from dcech import (
     rectangle_complex,
     restrict_to_support,
 )
-from dcech.instances import random_dowker, random_measure, random_metric_space
+from dcech.instances import (
+    random_dowker,
+    random_measure,
+    random_metric_space,
+    random_planar_space,
+)
 
 from .oracles import (
     DegreeReference,
+    ball_reference,
     check_dowker_pair_reference,
     dowker_dual_reference,
     dtm_value_reference,
     rectangle_complex_reference,
+    restrict_to_support_reference,
 )
 
 
@@ -73,28 +81,35 @@ class TestDowkerDissimilarity:
         assert d.r_values() == (0.0, 1.0, 2.0)
 
     def test_ball_masks(self):
+        # with weights 1, 2, 4, ... each mass reads as the ball's bitmask
         d = DowkerDissimilarity(np.array([[0.0, 1.0], [2.0, math.inf]]))
-        assert d.ball_mask(0, 0.5) == 0b01
-        assert d.ball_mask(0, 1.0) == 0b11
-        assert d.ball_mask(1, 1.999) == 0b00
-        assert d.ball_mask(1, 2.0) == 0b01
+        f = DegreeBifiltration(d, DiscreteMeasure((1.0, 2.0)))
+        assert f.value((0,), 0.5) == 0b01
+        assert f.value((0,), 1.0) == 0b11
+        assert f.value((1,), 1.999) == 0b00
+        assert f.value((1,), 2.0) == 0b01
         # only r = inf reaches entries at inf; huge finite radii do not
-        assert d.ball_mask(1, 1e300) == 0b01
-        assert d.ball_mask(1, math.inf) == 0b11
+        assert f.value((1,), 1e300) == 0b01
+        assert f.value((1,), math.inf) == 0b11
+        # -inf is below every entry, and nan reads as the last level
+        assert f.value((0,), -math.inf) == 0b00
+        assert f.value((1,), math.nan) == 0b01
 
     def test_common_ball_mask(self):
         d = DowkerDissimilarity(np.array([[0.0, 1.0], [2.0, math.inf]]))
-        assert d.common_ball_mask([0, 1], 2.0) == 0b01
-        assert d.common_ball_mask([0, 1], 1.0) == 0b00
-        assert d.common_ball_mask([0], 1.0) == 0b11
-        assert d.common_ball_mask([0, 1], math.inf) == 0b11
+        f = DegreeBifiltration(d, DiscreteMeasure((1.0, 2.0)))
+        assert f.value([0, 1], 2.0) == 0b01
+        assert f.value([0, 1], 1.0) == 0b00
+        assert f.value([0], 1.0) == 0b11
+        assert f.value([0, 1], math.inf) == 0b11
 
     def test_index_errors(self):
         d = DowkerDissimilarity(np.array([[0.0, 1.0]]))
+        f = DegreeBifiltration(d, DiscreteMeasure((1.0, 2.0)))
         with pytest.raises(IndexOutOfRange):
-            d.ball_mask(1, 0.0)
+            f.value((1,), 0.0)
         with pytest.raises(IndexOutOfRange):
-            d.common_ball_mask([0, 1], 0.0)
+            f.value([0, 1], 0.0)
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(DimensionMismatch):
@@ -442,14 +457,34 @@ class TestDegreeTableAgainstReference:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_ball_masks(self, seed):
+        # with weights 1, 2, 4, ... each mass reads as the ball's bitmask
         rng = random.Random(200 + seed)
+        for dowker, _ in _table_instances(rng):
+            f = DegreeBifiltration(
+                dowker, DiscreteMeasure(tuple(float(1 << y) for y in range(dowker.ny)))
+            )
+            ref = ball_reference(dowker)
+            rs = _radii(dowker.r_values(), rng)
+            sigmas = _sigmas(dowker.nx)
+            want = [[float(ref.common_ball_mask(s, r)) for r in rs] for s in sigmas]
+            assert f.table(sigmas, rs).tolist() == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nondecreasing_from_minus_to_plus_inf(self, seed):
+        # signed zeros and infinities, every level and beyond: a nonempty
+        # simplex has nothing at -inf, and its value never drops as r grows
+        rng = random.Random(250 + seed)
         for dowker, measure in _table_instances(rng):
-            ref = DegreeReference(dowker.matrix, measure.weights)
-            for r in _radii(dowker.r_values(), rng):
-                for s in _sigmas(dowker.nx):
-                    assert dowker.common_ball_mask(s, r) == ref.common_ball_mask(s, r)
-                for x in range(dowker.nx):
-                    assert dowker.ball_mask(x, r) == ref.common_ball_mask((x,), r)
+            levels = dowker.r_values()
+            rs = [-math.inf, -1.0, -0.0, 0.0, *levels, 1e300, math.inf]
+            sigmas = _sigmas(dowker.nx)[1:]
+            for f in (
+                DegreeBifiltration(dowker, measure),
+                DistanceToMeasureBifiltration(dowker, measure, rng.choice((0.5, 1.0, 2.0))),
+            ):
+                table = f.table(sigmas, rs)
+                assert (table[:, 0] == 0.0).all()
+                assert (table[:, 1:] >= table[:, :-1]).all(), type(f).__name__
 
     def test_blocks_match_one_row_at_a_time(self):
         # enough simplices x radii x points to need several blocks
@@ -465,17 +500,13 @@ class TestDegreeTableAgainstReference:
             assert got[i].tolist() == f.table([sigmas[i]], rs)[0].tolist()
 
     def test_bad_witness_index_raises(self, l3_counting):
-        dowker, f = l3_counting
+        _, f = l3_counting
         for sigma in ((3,), (-1,), (0, 3), (2, -1)):
             for r in (0.0, 2.5, math.inf, -math.inf, math.nan):
                 with pytest.raises(IndexOutOfRange):
                     f.value(sigma, r)
                 with pytest.raises(IndexOutOfRange):
                     f.table([(0,), sigma], [r])
-                with pytest.raises(IndexOutOfRange):
-                    dowker.common_ball_mask(sigma, r)
-        with pytest.raises(IndexOutOfRange):
-            dowker.ball_mask(-1, 1.0)
 
     def test_radius_rows_must_match_the_simplices(self, l3_counting):
         _, f = l3_counting
@@ -631,6 +662,7 @@ class TestDowkerPairAgainstReference:
             if trial % 3 == 0:
                 m[rng.randrange(nx), rng.randrange(ny)] = math.inf
             dowker = DowkerDissimilarity(m)
+            balls = ball_reference(dowker)
             grid = sorted(set((0.0, 0.5, *rng.sample(dowker.r_values(), 1))))
             if trial % 5 == 0:
                 grid.append(math.inf)
@@ -638,7 +670,8 @@ class TestDowkerPairAgainstReference:
             # also come from larger simplices and later radii
             first = {
                 x: list(accumulate(
-                    (rng.random() < 0.1 or bool(dowker.ball_mask(x, r)) for r in grid),
+                    (rng.random() < 0.1 or bool(balls.common_ball_mask((x,), r))
+                     for r in grid),
                     operator.or_,
                 ))
                 for x in range(nx)
@@ -738,6 +771,24 @@ class TestRestrictAndReindex:
         for sigma in R.entries:
             assert R.entries[sigma].steps == K.entries[sigma].steps
         R.validate()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_restrict_matches_envelope_on_builds(self, seed):
+        rng = random.Random(500 + seed)
+        for trial in range(6):
+            n = rng.randint(3, 6)
+            space = random_planar_space(rng, n)
+            mu = random_measure(rng, n, zero_count=rng.randint(0, 2))
+            build = (intrinsic_dc, ambient_dc_finite, ambient_dc_planar)[trial % 3]
+            K = build(space, mu, rng.randint(1, 3))
+            for size in range(1, len(K.universe) + 1):
+                keep = rng.sample(K.universe, size) + [n + 1]
+                got = restrict_to_support(K, keep)
+                want = restrict_to_support_reference(K, keep)
+                assert got.universe == want.universe
+                assert list(got.entries) == list(want.entries)
+                for sigma, stair in want.entries.items():
+                    assert got.entries[sigma].steps == stair.steps
 
     def test_restrict_general_envelope(self):
         K = BifilteredComplex(

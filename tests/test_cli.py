@@ -612,3 +612,35 @@ class TestParameterTexts:
         argv = ["hilbert", "--artifact", table, f"--r-grid={r_grid}",
                 f"--m-grid={m_grid}", "--max-degree", "1", "--out", out]
         assert_clean_exit(*run_quiet(argv))
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(spec=SLICE_SPECS, r_grid=GRID_TEXTS)
+    def test_slice_without_escapes(self, weighted_artifact, spec, r_grid):
+        # no "=" and no "--": a text starting with "-" reaches argparse's errors
+        table, _ = weighted_artifact
+        argv = ["slice", "--artifact", table, "--r-grid", r_grid, spec]
+        assert_clean_exit(*run_quiet(argv))
+
+    def test_parser_errors_are_one_line(self, weighted_artifact):
+        table, _ = weighted_artifact
+        code, stdout, stderr = run_quiet(
+            ["slice", "--artifact", table, "--r-grid", "-1,2", "m=1"]
+        )
+        assert_clean_exit(code, stdout, stderr)
+        assert code == 2 and "--r-grid=-1,2" in stderr
+        for argv in (
+            [],
+            ["frobnicate"],
+            ["slice", "--artifact", table, "diag", "2,0"],
+            ["slice", "--artifact", table, "m=1", "--r-grid"],
+            ["verify", "--trials", "many", "nerve"],
+            ["build", "--mode", "sideways"],
+        ):
+            code, stdout, stderr = run_quiet(argv)
+            assert code == 2, argv
+            assert_clean_exit(code, stdout, stderr)
+
+    def test_help_still_exits_zero(self):
+        for argv in (["--help"], ["slice", "--help"]):
+            code, stdout, stderr = run_quiet(argv)
+            assert code == 0 and stdout.startswith("usage: dcech") and stderr == ""

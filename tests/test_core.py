@@ -24,7 +24,6 @@ from dcech import (
     Staircase,
     TriangleViolation,
     grid_with_midpoints,
-    pointwise_max,
     validate_forward_shift,
     validate_metric,
 )
@@ -223,14 +222,6 @@ class TestStaircase:
     def test_scale_r(self):
         st = Staircase(((1.0, 2.0), (3.0, 5.0))).scale_r(0.5)
         assert st.steps == ((0.5, 2.0), (1.5, 5.0))
-
-    def test_pointwise_max(self):
-        a = Staircase(((0.0, 1.0),))
-        b = Staircase(((1.0, 3.0),))
-        top = pointwise_max([a, b])
-        assert top.steps == ((0.0, 1.0), (1.0, 3.0))
-        with pytest.raises(InvalidStaircase):
-            pointwise_max([])
 
 
 class TestSimplicialComplex:

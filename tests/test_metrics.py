@@ -405,17 +405,6 @@ class TestSetInterleavingShift:
         for cond in report.conditions:
             assert math.isfinite(cond.slack)
 
-    def test_swap_composites_runs(self):
-        space = line_space([0, 1, 3])
-        f = DegreeBifiltration(
-            DowkerDissimilarity.from_metric(space), DiscreteMeasure.counting(3)
-        )
-        shift = ForwardShift.eps_shift(0.5)
-        a = verify_set_interleaving_shift(
-            f, f, (0, 1, 2), (0, 1, 2), shift, shift, [0.0, 1.0], swap_composites=True
-        )
-        assert len(a.conditions) == 4
-
 
 def _interleaving_pairs(rng):
     """Pairs of degree bifiltrations, each with its int-bitmask reference,
@@ -464,11 +453,10 @@ class TestInterleavingAgainstReference:
                 (ForwardShift.eps_shift(eps), ForwardShift.doubling_shift(eps / 2.0)),
                 (ForwardShift.identity(), ForwardShift.eps_shift(eps)),
             ):
-                for swap in (False, True):
-                    args = (pi1, pi0, alpha, beta, rs, rng.randint(1, 3), swap)
-                    got = verify_set_interleaving_shift(f0, f1, *args)
-                    want = set_interleaving_shift_reference(ref0, ref1, *args)
-                    assert repr(got) == repr(want)
+                args = (pi1, pi0, alpha, beta, rs, rng.randint(1, 3))
+                got = verify_set_interleaving_shift(f0, f1, *args)
+                want = set_interleaving_shift_reference(ref0, ref1, *args)
+                assert repr(got) == repr(want)
 
     def test_ties_keep_the_first_witness(self):
         # counting measures make many cells share the least slack
@@ -606,12 +594,14 @@ class TestVerifySandwich:
         assert report.conditions[0].slack == 0.0
         assert report.conditions[1].slack == 0.0
 
-    def test_grid_mode_square(self, square_pair):
+    def test_subcomplexes_at_grid_points_square(self, square_pair):
+        # the literal inclusions that the exact check decides at once
         intr, amb = square_pair
-        report = verify_sandwich(
-            intr, amb, m_grid=[1.0, 2.0, 4.0], r_grid=[0.0, 0.5, math.sqrt(0.5), 1.0]
-        )
-        assert report.ok
+        for m in (1.0, 2.0, 4.0):
+            for r in (0.0, 0.5, math.sqrt(0.5), 1.0):
+                inner, mid = intr.complex_at(m, r), amb.complex_at(m, r)
+                assert inner.simplices <= mid.simplices
+                assert mid.simplices <= intr.complex_at(m, 2.0 * r).simplices
 
     def test_reindexed_violates(self, square_pair):
         intr, _ = square_pair

@@ -138,7 +138,7 @@ class TestAmbientDcPlanar:
 
     def test_r_grid_resampling(self):
         space = FiniteMetricSpace.from_points(S4)
-        K = ambient_dc_planar(space, DiscreteMeasure.counting(4), r_grid=[0.0, 1.0])
+        K = ambient_dc_planar(space, DiscreteMeasure.counting(4)).restrict_r_grid([0.0, 1.0])
         assert K.staircase((0,)).steps == ((0.0, 1.0), (1.0, 4.0))
         assert K.staircase((0, 1)).steps == ((1.0, 4.0),)
         assert K.staircase((0, 2)).steps == ((1.0, 4.0),)
