@@ -19,7 +19,6 @@ from .builders import (
     dowker_dual,
     intrinsic_dc,
     measure_bifiltration_points,
-    measure_dowker_reindex,
     nerve_bifiltration,
     rectangle_complex,
     restrict_to_support,
@@ -33,7 +32,6 @@ from .core import (
     Staircase,
     as_simplex,
     grid_with_midpoints,
-    validate_forward_shift,
     validate_metric,
 )
 from .errors import (
@@ -102,9 +100,7 @@ from .metrics import (
     prohorov_check,
     prohorov_distance,
     pushforward,
-    verify_complex_interleaving,
     verify_sandwich,
-    verify_set_interleaving_eps,
     verify_set_interleaving_shift,
 )
 from .planar import (

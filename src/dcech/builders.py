@@ -70,7 +70,6 @@ __all__ = [
     "measure_bifiltration_points",
     "cover_nerve",
     "restrict_to_support",
-    "measure_dowker_reindex",
 ]
 
 _DUAL_BLOCK_ELEMENTS = 1 << 15  # simplices x radii x witnesses per dual block
@@ -626,9 +625,3 @@ def restrict_to_support(
     entries = {s: st for s, st in K.entries.items() if kept.issuperset(s)}
     universe = tuple(v for v in K.universe if v in kept)
     return BifilteredComplex(universe, entries, K.dim_cap)
-
-
-def measure_dowker_reindex(K: BifilteredComplex) -> BifilteredComplex:
-    """Reindex r -> r/2 on every staircase (the doubled-radius family)."""
-    entries = {s: st.scale_r(0.5) for s, st in K.entries.items()}
-    return BifilteredComplex(K.universe, entries, K.dim_cap)

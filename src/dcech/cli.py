@@ -168,6 +168,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
         (m0,) = params
         bars = slice_persistence(K, m0, r_grid, max_degree)
     else:
+        if r_grid is not None:
+            raise DcechError("--r-grid applies to m=<v> slices only")
         m0, r0 = params
         bars = diagonal_barcode(K, m0, r0, max_degree)
     sys.stdout.write(format_barcode(bars.intervals, max_degree))

@@ -45,7 +45,6 @@ __all__ = [
     "BifilteredComplex",
     "ForwardShift",
     "as_simplex",
-    "validate_forward_shift",
     "validate_metric",
     "grid_with_midpoints",
 ]
@@ -175,12 +174,13 @@ class FiniteMetricSpace:
             raise IndexOutOfRange(f"point index {x} not in [0, {self.n})")
 
 
-def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> None:
+def validate_metric(space: FiniteMetricSpace) -> None:
     """Check symmetry, nonnegativity, zero diagonal and triangle inequality.
 
-    Raises the first violation found, with a witness. Distances may be inf
-    (disconnected spaces); a triangle check with an infinite right-hand side
-    is vacuous.
+    Symmetry, the triangle inequality and the coordinates are held to
+    METRIC_TOL. Raises the first violation found, with a witness. Distances
+    may be inf (disconnected spaces); a triangle check with an infinite
+    right-hand side is vacuous.
     """
     d = space.dist
     n = space.n
@@ -190,7 +190,7 @@ def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> None:
         for j in range(i + 1, n):
             if d[i, j] < 0 or d[j, i] < 0:
                 raise NegativeDistanceError(f"d({i},{j}) is negative")
-            if not math.isclose(d[i, j], d[j, i], rel_tol=0.0, abs_tol=tol):
+            if not math.isclose(d[i, j], d[j, i], rel_tol=0.0, abs_tol=METRIC_TOL):
                 if not (math.isinf(d[i, j]) and math.isinf(d[j, i])):
                     raise AsymmetryError(
                         f"d({i},{j}) = {d[i, j]} but d({j},{i}) = {d[j, i]}"
@@ -198,7 +198,7 @@ def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> None:
     for k in range(n):
         # an infinite right-hand side is never exceeded, so it needs no skip
         rhs = d[:, k, None] + d[k]
-        bad = np.flatnonzero(d > rhs + tol)
+        bad = np.flatnonzero(d > rhs + METRIC_TOL)
         if bad.size:  # the first (i, j) in row order, as a loop over i, j meets it
             i, j = divmod(int(bad[0]), n)
             raise TriangleViolation(i, k, j, float(d[i, j]), float(rhs[i, j]))
@@ -209,7 +209,7 @@ def validate_metric(space: FiniteMetricSpace, tol: float = METRIC_TOL) -> None:
                 dd = math.hypot(*(c[i] - c[j])) if c.shape[1] == 2 else float(
                     np.linalg.norm(c[i] - c[j])
                 )
-                if abs(dd - d[i, j]) > tol:
+                if abs(dd - d[i, j]) > METRIC_TOL:
                     raise CoordMismatch(
                         f"coords give d({i},{j}) = {dd}, matrix says {d[i, j]}"
                     )
@@ -258,13 +258,6 @@ class DiscreteMeasure:
         return DiscreteMeasure(tuple(self.weights[i] for i in ids))
 
 
-def _check_alignment(space: FiniteMetricSpace, measure: DiscreteMeasure) -> None:
-    if len(measure) != space.n:
-        raise DimensionMismatch(
-            f"measure has {len(measure)} weights for a {space.n}-point space"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Simplicial complexes
 # ---------------------------------------------------------------------------
@@ -310,23 +303,6 @@ class SimplicialComplex:
         object.__setattr__(out, "simplices", simplices)
         return out
 
-    @classmethod
-    def closure_of(
-        cls, maximal: Iterable[Iterable[int]], universe: Iterable[int] | None = None
-    ) -> "SimplicialComplex":
-        """Downward closure of the given generating simplices."""
-        simp: set[Simplex] = set()
-        for m in maximal:
-            ms = as_simplex(m)
-            for k in range(1, len(ms) + 1):
-                simp.update(combinations(ms, k))
-        if universe is None:
-            uni: set[int] = set()
-            for s in simp:
-                uni.update(s)
-            universe = uni
-        return cls(tuple(universe), frozenset(simp))
-
     def __len__(self) -> int:
         return len(self.simplices)
 
@@ -343,9 +319,6 @@ class SimplicialComplex:
     def vertices(self) -> tuple[int, ...]:
         """Vertices that are actually present (not ghosts)."""
         return tuple(sorted(s[0] for s in self.simplices if len(s) == 1))
-
-    def simplices_of_dim(self, k: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == k + 1)
 
     def sorted_simplices(self) -> list[Simplex]:
         """Deterministic order: by dimension, then lexicographic."""
@@ -415,10 +388,6 @@ class Staircase:
     def start_r(self) -> float:
         return self.steps[0][0]
 
-    @property
-    def max_value(self) -> float:
-        return self.steps[-1][1]
-
     def value(self, r: float) -> float | None:
         """Value at radius r, or None if the simplex is absent there."""
         if r < self.steps[0][0]:
@@ -429,9 +398,6 @@ class Staircase:
     def present(self, m: float, r: float) -> bool:
         v = self.value(r)
         return v is not None and v >= m
-
-    def scale_r(self, factor: float) -> "Staircase":
-        return Staircase(tuple((r * factor, m) for r, m in self.steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,9 +505,7 @@ class ForwardShift:
 
     The two stock shifts are the plain epsilon shift (m - eps, r + eps) and
     the doubling shift (m - eps, 2 (r + eps)) used by the nearest-neighbor
-    interleavings. Arbitrary monotone pairs can be wrapped with
-    :meth:`from_callables`; :func:`validate_forward_shift` spot-checks the
-    monotonicity on a sample grid.
+    interleavings; :meth:`then` composes two shifts.
     """
 
     name: str
@@ -563,15 +527,6 @@ class ForwardShift:
     def identity(cls) -> "ForwardShift":
         return cls("identity", lambda m, r: (m, r))
 
-    @classmethod
-    def from_callables(
-        cls,
-        m_part: Callable[[float, float], float],
-        r_part: Callable[[float, float], float],
-        name: str = "custom",
-    ) -> "ForwardShift":
-        return cls(name, lambda m, r: (m_part(m, r), r_part(m, r)))
-
     def __call__(self, m: float, r: float) -> tuple[float, float]:
         return self.apply(m, r)
 
@@ -582,27 +537,3 @@ class ForwardShift:
             return other.apply(m1, r1)
 
         return ForwardShift(f"{other.name} o {self.name}", chained)
-
-
-def validate_forward_shift(
-    shift: ForwardShift,
-    m_grid: Sequence[float],
-    r_grid: Sequence[float],
-) -> None:
-    """Check shift direction and order preservation on a sample grid."""
-    pts = [(m, r) for m in m_grid for r in r_grid]
-    for m, r in pts:
-        m1, r1 = shift(m, r)
-        if m1 > m or r1 < r:
-            raise NonMonotonePath(
-                f"{shift.name} moved ({m}, {r}) backwards to ({m1}, {r1})"
-            )
-    for ma, ra in pts:
-        for mb, rb in pts:
-            if mb <= ma and ra <= rb:  # (ma, ra) <= (mb, rb) in R^op x [0, inf]
-                a = shift(ma, ra)
-                b = shift(mb, rb)
-                if not (b[0] <= a[0] and a[1] <= b[1]):
-                    raise NonMonotonePath(
-                        f"{shift.name} is not order preserving at {(ma, ra)}, {(mb, rb)}"
-                    )

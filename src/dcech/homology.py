@@ -214,7 +214,8 @@ def _persistence_pairs(
     """Standard column reduction of (birth, size, simplex) triples.
 
     Sorted, the triples put each face before its cofaces. Bars of length
-    zero are dropped; unpaired creators get death = inf.
+    zero are dropped; unpaired creators get death = inf, except one born at
+    inf, whose bar [inf, inf) is empty too.
     """
     entered.sort()
     ordered = [s for _, _, s in entered]
@@ -249,7 +250,7 @@ def _persistence_pairs(
         if b < d:
             bars.setdefault(deg, []).append((b, d))
     for j in creators:
-        if j in destroyed:
+        if j in destroyed or births[j] == math.inf:
             continue
         deg = len(ordered[j]) - 1
         if deg <= max_degree:

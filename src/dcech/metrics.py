@@ -58,9 +58,7 @@ __all__ = [
     "check_projection_inequality",
     "ProjectionReport",
     "gp_upper_bound",
-    "verify_set_interleaving_eps",
     "verify_set_interleaving_shift",
-    "verify_complex_interleaving",
     "verify_sandwich",
 ]
 
@@ -337,7 +335,6 @@ class ConditionSlack:
 @dataclass(frozen=True)
 class InterleavingReport:
     conditions: tuple[ConditionSlack, ...]
-    note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -390,64 +387,6 @@ def _worst(
     if worst == math.inf:
         return ConditionSlack(label, worst, None)
     return ConditionSlack(label, worst, (sigmas[i], rs[j]))
-
-
-def verify_set_interleaving_eps(
-    f0: SetBifiltration,
-    f1: SetBifiltration,
-    pi1: Sequence[int],
-    pi0: Sequence[int],
-    eps: float,
-    r_grid: Sequence[float],
-    dim_cap: int = 3,
-) -> InterleavingReport:
-    """Check the four eps-interleaving inequalities on a radius grid.
-
-    pi1 maps the universe of f0 into that of f1, pi0 the reverse. The value
-    conditions ask f0(sigma, r) <= f1(pi1 sigma, r + eps) + eps and
-    symmetrically; the union conditions compare against sigma joined with
-    its round-trip image at r + 2 eps.
-    """
-    n0, n1 = f0.universe_size, f1.universe_size
-    _check_map(pi1, n0, n1, "pi1")
-    _check_map(pi0, n1, n0, "pi0")
-    rs = sorted(set(float(r) for r in r_grid))
-    grid = np.array(rs)
-    sig0 = list(_simplices(n0, dim_cap))
-    sig1 = list(_simplices(n1, dim_cap))
-    v0 = f0.table(sig0, grid)
-    v1 = f1.table(sig1, grid)
-    conds = (
-        _worst(
-            "value under pi1",
-            sig0,
-            rs,
-            v0,
-            f1.table([_image(pi1, s) for s in sig0], grid + eps) + eps,
-        ),
-        _worst(
-            "value under pi0",
-            sig1,
-            rs,
-            v1,
-            f0.table([_image(pi0, s) for s in sig1], grid + eps) + eps,
-        ),
-        _worst(
-            "union with pi0 pi1",
-            sig0,
-            rs,
-            v0,
-            f0.table([_union(pi1, pi0, s) for s in sig0], grid + 2.0 * eps) + 2.0 * eps,
-        ),
-        _worst(
-            "union with pi1 pi0",
-            sig1,
-            rs,
-            v1,
-            f1.table([_union(pi0, pi1, s) for s in sig1], grid + 2.0 * eps) + 2.0 * eps,
-        ),
-    )
-    return InterleavingReport(conds)
 
 
 def _shifted(
@@ -514,99 +453,6 @@ def verify_set_interleaving_shift(
         ),
     )
     return InterleavingReport(conds)
-
-
-def _presence_slack(K: BifilteredComplex, sigma: Simplex, m: float, r: float):
-    stair = K.staircase(sigma)
-    if stair is None:
-        return -math.inf
-    v = stair.value(r)
-    if v is None:
-        return -math.inf
-    return _diff(v, m)
-
-
-def verify_complex_interleaving(
-    K0: BifilteredComplex,
-    K1: BifilteredComplex,
-    pi1: Sequence[int],
-    pi0: Sequence[int],
-    alpha: ForwardShift,
-    beta: ForwardShift,
-    m_grid: Sequence[float],
-    r_grid: Sequence[float],
-) -> InterleavingReport:
-    """Check that vertex maps give a shifted interleaving of two complexes.
-
-    alpha transports presence along pi1 (K0 into K1), beta along pi0. The
-    union conditions are the contiguity-style sufficient criterion: sigma
-    joined with its round-trip image must be present at the composite shift.
-    A failure there is reported as such; it does not prove the complexes are
-    not interleaved.
-    """
-    u0, u1 = K0.universe, K1.universe
-    pos0 = {v: i for i, v in enumerate(u0)}
-    pos1 = {v: i for i, v in enumerate(u1)}
-    if len(pi1) != len(u0) or len(pi0) != len(u1):
-        raise DimensionMismatch("vertex maps do not cover the universes")
-    for v in pi1:
-        if v not in pos1:
-            raise IndexOutOfRange(f"pi1 maps outside the target universe: {v}")
-    for v in pi0:
-        if v not in pos0:
-            raise IndexOutOfRange(f"pi0 maps outside the target universe: {v}")
-
-    map1 = {u0[i]: pi1[i] for i in range(len(u0))}
-    map0 = {u1[i]: pi0[i] for i in range(len(u1))}
-    ab = alpha.then(beta)
-    ba = beta.then(alpha)
-    ms = sorted(set(float(m) for m in m_grid))
-    rs = sorted(set(float(r) for r in r_grid))
-
-    def img(mp, sigma):
-        return tuple(sorted(set(mp[v] for v in sigma)))
-
-    def run(label, src, dst, transform, shift):
-        slack = math.inf
-        witness = None
-        for sigma in src.entries:
-            tau = transform(sigma)
-            for m in ms:
-                for r in rs:
-                    if not src.present(sigma, m, r):
-                        continue
-                    m2, r2 = shift(m, r)
-                    s = _presence_slack(dst, tau, m2, r2)
-                    if s < slack:
-                        slack = s
-                        witness = (sigma, m, r)
-        return ConditionSlack(label, slack, witness)
-
-    conds = (
-        run("pi1 into K1", K0, K1, lambda s: img(map1, s), alpha),
-        run("pi0 into K0", K1, K0, lambda s: img(map0, s), beta),
-        run(
-            "union contiguity in K0",
-            K0,
-            K0,
-            lambda s: tuple(sorted(set(s) | set(img(map0, img(map1, s))))),
-            ab,
-        ),
-        run(
-            "union contiguity in K1",
-            K1,
-            K1,
-            lambda s: tuple(sorted(set(s) | set(img(map1, img(map0, s))))),
-            ba,
-        ),
-    )
-    note = ""
-    if any(c.slack < 0 for c in conds[2:]) and all(c.slack >= 0 for c in conds[:2]):
-        note = (
-            "contiguity check failed; the sufficient criterion does not hold, "
-            "which does not refute an interleaving"
-        )
-    return InterleavingReport(conds, note)
 
 
 def verify_sandwich(

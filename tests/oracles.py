@@ -155,6 +155,21 @@ def cech_simplices_welzl(points, max_size: int, r: float) -> set[tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
+# Complexes from generating simplices
+# ---------------------------------------------------------------------------
+
+
+def closure_of(generators) -> SimplicialComplex:
+    """The downward closure of the given simplices, over the vertices they use."""
+    simplices: set[Simplex] = set()
+    for g in generators:
+        g = sorted(set(g))
+        for k in range(1, len(g) + 1):
+            simplices.update(combinations(g, k))
+    return SimplicialComplex(tuple({v for s in simplices for v in s}), frozenset(simplices))
+
+
+# ---------------------------------------------------------------------------
 # Dense GF(2) homology
 # ---------------------------------------------------------------------------
 
@@ -619,36 +634,6 @@ def _condition(label, sigmas, rs, lhs, rhs) -> ConditionSlack:
                 slack = s
                 witness = (sigma, r)
     return ConditionSlack(label, slack, witness)
-
-
-def set_interleaving_eps_reference(f0, f1, pi1, pi0, eps, r_grid, dim_cap=3):
-    rs = sorted(set(float(r) for r in r_grid))
-    sig0 = list(_simplices(f0.universe_size, dim_cap))
-    sig1 = list(_simplices(f1.universe_size, dim_cap))
-    return InterleavingReport(
-        (
-            _condition(
-                "value under pi1", sig0, rs,
-                lambda s, r: f0.value(s, r),
-                lambda s, r: f1.value(_image(pi1, s), r + eps) + eps,
-            ),
-            _condition(
-                "value under pi0", sig1, rs,
-                lambda s, r: f1.value(s, r),
-                lambda s, r: f0.value(_image(pi0, s), r + eps) + eps,
-            ),
-            _condition(
-                "union with pi0 pi1", sig0, rs,
-                lambda s, r: f0.value(s, r),
-                lambda s, r: f0.value(_union(pi1, pi0, s), r + 2.0 * eps) + 2.0 * eps,
-            ),
-            _condition(
-                "union with pi1 pi0", sig1, rs,
-                lambda s, r: f1.value(s, r),
-                lambda s, r: f1.value(_union(pi0, pi1, s), r + 2.0 * eps) + 2.0 * eps,
-            ),
-        )
-    )
 
 
 def set_interleaving_shift_reference(f0, f1, pi1, pi0, alpha, beta, r_grid, dim_cap=3):

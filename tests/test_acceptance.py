@@ -39,6 +39,7 @@ from dcech.verify import run_suite
 
 from .oracles import (
     betti_dense,
+    closure_of,
     degree_cech_nerve,
     inclusion_iso_dense,
     prohorov_brute,
@@ -305,7 +306,7 @@ class TestAcceptance:
                     gens.append(sigma)
             if not gens:
                 gens.append((0,))
-            K = SimplicialComplex.closure_of(gens)
+            K = closure_of(gens)
             complexes += 1
             if betti(K, 3) != betti_dense(K.simplices, 3):
                 mismatches += 1

@@ -40,7 +40,6 @@ from dcech import (
     dowker_dual,
     intrinsic_dc,
     measure_bifiltration_points,
-    measure_dowker_reindex,
     nerve_bifiltration,
     rectangle_complex,
     restrict_to_support,
@@ -56,6 +55,7 @@ from .oracles import (
     DegreeReference,
     ball_reference,
     check_dowker_pair_reference,
+    closure_of,
     dowker_dual_reference,
     dtm_value_reference,
     rectangle_complex_reference,
@@ -574,7 +574,7 @@ class TestRectangleComplex:
         dowker, f = l3_counting
         R = rectangle_complex(dowker, f, 3.0, 2.0)
         # only the middle witness reaches mass 3; its row spans a full simplex
-        assert R.simplices == SimplicialComplex.closure_of([(3, 4, 5)]).simplices
+        assert R.simplices == closure_of([(3, 4, 5)]).simplices
         assert betti(R, 2) == (1, 0, 0)
 
     def test_diagonal_at_r0(self, l3_counting):
@@ -814,11 +814,3 @@ class TestRestrictAndReindex:
             [1],
         )
         assert R2.entries[(1,)].steps == ((0.0, 1.0),)
-
-    def test_reindex_halves_radii(self, l3):
-        K = intrinsic_dc(l3, DiscreteMeasure.counting(3))
-        H = measure_dowker_reindex(K)
-        assert H.staircase((0, 1, 2)).steps == ((1.0, 3.0),)
-        for sigma, st in K.entries.items():
-            for r in (0.0, 0.5, 1.0, 1.5, 2.0):
-                assert H.value(sigma, r) == K.value(sigma, 2.0 * r)

@@ -204,6 +204,13 @@ class TestSlice:
         assert code == 0
         assert stdout == "H0: [1,2) [1,inf)\nH1: (none)\nH2: (none)\n"
 
+    def test_r_grid_with_a_diagonal_is_an_error(self, capsys, points_csv):
+        code, stdout, stderr = run(
+            capsys, ["slice", "--input", points_csv, "diag 2,0", "--r-grid=5,6"]
+        )
+        assert code == 2 and stdout == ""
+        assert stderr == "error: --r-grid applies to m=<v> slices only\n"
+
     def test_backwards_r_grid_is_an_error(self, capsys, points_csv):
         code, _, stderr = run(
             capsys,

@@ -38,6 +38,7 @@ from .oracles import (
     bars_alive,
     betti_dense,
     bottleneck_brute,
+    closure_of,
     constant_m_sampled,
     slice_persistence_sampled,
 )
@@ -58,39 +59,35 @@ RP2_FACES = [
 ]
 
 
-def closure(faces):
-    return SimplicialComplex.closure_of(faces)
-
-
 class TestBetti:
     def test_circle(self):
-        hollow = closure([(0, 1), (1, 2), (0, 2)])
+        hollow = closure_of([(0, 1), (1, 2), (0, 2)])
         assert betti(hollow, 2) == (1, 1, 0)
 
     def test_sphere(self):
-        boundary = closure(list(combinations(range(4), 3)))
+        boundary = closure_of(list(combinations(range(4), 3)))
         assert betti(boundary, 2) == (1, 0, 1)
 
     def test_torus(self):
-        assert betti(closure(TORUS_FACES), 2) == (1, 2, 1)
+        assert betti(closure_of(TORUS_FACES), 2) == (1, 2, 1)
 
     def test_projective_plane_mod2(self):
-        assert betti(closure(RP2_FACES), 2) == (1, 1, 1)
+        assert betti(closure_of(RP2_FACES), 2) == (1, 1, 1)
 
     def test_two_components(self):
-        assert betti(closure([(0, 1), (2, 3)]), 1) == (2, 0)
+        assert betti(closure_of([(0, 1), (2, 3)]), 1) == (2, 0)
 
     def test_empty(self):
         assert betti(SimplicialComplex((0, 1), frozenset()), 1) == (0, 0)
 
     def test_solid_tetrahedron_truncated_degree(self):
-        solid = closure([(0, 1, 2, 3)])
+        solid = closure_of([(0, 1, 2, 3)])
         assert betti(solid, 1) == (1, 0)
         assert betti(solid, 2) == (1, 0, 0)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(UnsupportedDimension):
-            betti(closure([(0,)]), -1)
+            betti(closure_of([(0,)]), -1)
 
     def test_matches_dense_oracle(self):
         rng = random.Random(5)
@@ -100,7 +97,7 @@ class TestBetti:
                 tuple(sorted(rng.sample(range(n), rng.randint(1, min(4, n)))))
                 for _ in range(rng.randint(1, 6))
             ]
-            K = closure(tops)
+            K = closure_of(tops)
             assert betti(K, 2) == betti_dense(K.simplices, 2)
 
 
@@ -364,31 +361,40 @@ class TestDiagonalBarcode:
         assert got.degree(0) == ((1.0, math.inf),)
         assert got.degree(2) == ((1.0, RT2),)
 
+    def test_no_bar_is_born_at_infinity(self):
+        # along (inf - t, t) and (2 - t, -inf + t) every simplex enters at
+        # t = inf: no bar at all, as at the constant mass m = inf
+        space = FiniteMetricSpace.from_points([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
+        K = intrinsic_dc(space, DiscreteMeasure.counting(3))
+        for m0, r0 in ((math.inf, 0.0), (2.0, -math.inf)):
+            assert diagonal_barcode(K, m0, r0, 2).intervals == {}
+        assert slice_persistence(K, math.inf).intervals == {}
+
 
 class TestInclusionInducesIso:
     def test_identity_like(self):
-        circle = closure([(0, 1), (1, 2), (0, 2)])
-        pendant = closure([(0, 1), (1, 2), (0, 2), (0, 3)])
+        circle = closure_of([(0, 1), (1, 2), (0, 2)])
+        pendant = closure_of([(0, 1), (1, 2), (0, 2), (0, 3)])
         assert inclusion_induces_iso(circle, pendant, 1) == (True, True)
 
     def test_merged_components(self):
-        sub = closure([(0,), (1,)])
-        full = closure([(0, 1)])
+        sub = closure_of([(0,), (1,)])
+        full = closure_of([(0, 1)])
         assert inclusion_induces_iso(sub, full, 1) == (False, True)
 
     def test_filled_cycle(self):
-        circle = closure([(0, 1), (1, 2), (0, 2)])
-        disk = closure([(0, 1, 2)])
+        circle = closure_of([(0, 1), (1, 2), (0, 2)])
+        disk = closure_of([(0, 1, 2)])
         assert inclusion_induces_iso(circle, disk, 1) == (True, False)
 
     def test_new_component_born(self):
-        sub = closure([(0,)])
-        full = closure([(0,), (1, 2)])
+        sub = closure_of([(0,)])
+        full = closure_of([(0,), (1, 2)])
         assert inclusion_induces_iso(sub, full, 1) == (False, True)
 
     def test_rejects_non_inclusion(self):
         with pytest.raises(NotAnInclusion):
-            inclusion_induces_iso(closure([(0, 1)]), closure([(0,), (1,)]), 1)
+            inclusion_induces_iso(closure_of([(0, 1)]), closure_of([(0,), (1,)]), 1)
 
 
 class TestBottleneck:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dcech import (
+    BifilteredComplex,
     CommonEmbedding,
     DifferentSpaces,
     DimensionMismatch,
@@ -25,18 +26,16 @@ from dcech import (
     ForwardShift,
     IndexOutOfRange,
     NotDistancePreserving,
+    Staircase,
     TableBifiltration,
     check_projection_inequality,
     gp_upper_bound,
     intrinsic_dc,
-    measure_dowker_reindex,
     nearest_neighbor_projection,
     prohorov_check,
     prohorov_distance,
     pushforward,
-    verify_complex_interleaving,
     verify_sandwich,
-    verify_set_interleaving_eps,
     verify_set_interleaving_shift,
 )
 from dcech import ambient_dc_planar
@@ -44,7 +43,6 @@ from dcech.instances import random_measure, random_metric_space
 from .oracles import (
     DegreeReference,
     prohorov_brute,
-    set_interleaving_eps_reference,
     set_interleaving_shift_reference,
     prohorov_check_enumerated,
     prohorov_distance_enumerated,
@@ -334,7 +332,7 @@ class TestGpUpperBound:
         assert gp_upper_bound(emb, one, one) == 0.3
 
 
-class TestSetInterleavingEps:
+class TestSetInterleavingShift:
     @pytest.fixture
     def degree_pair(self):
         f0_space = line_space([0, 1, 3])
@@ -347,33 +345,6 @@ class TestSetInterleavingEps:
         )
         return f0, f1
 
-    def test_identity_is_a_zero_interleaving(self, degree_pair):
-        f0, _ = degree_pair
-        report = verify_set_interleaving_eps(
-            f0, f0, (0, 1, 2), (0, 1, 2), 0.0, [0.0, 1.0, 2.0, 3.0]
-        )
-        assert report.ok
-        assert len(report.conditions) == 4
-        assert report.worst().slack == 0.0
-
-    def test_scale_gap_fails_then_passes(self, degree_pair):
-        f0, f1 = degree_pair
-        idm = (0, 1, 2)
-        tight = verify_set_interleaving_eps(f0, f1, idm, idm, 0.0, [0.0, 1.0, 2.0, 3.0])
-        assert not tight.ok
-        assert tight.worst().slack < 0.0
-        loose = verify_set_interleaving_eps(f0, f1, idm, idm, 3.0, [0.0, 1.0, 2.0, 3.0])
-        assert loose.ok
-
-    def test_map_validation(self, degree_pair):
-        f0, f1 = degree_pair
-        with pytest.raises(DimensionMismatch):
-            verify_set_interleaving_eps(f0, f1, (0, 1), (0, 1, 2), 0.0, [0.0])
-        with pytest.raises(IndexOutOfRange):
-            verify_set_interleaving_eps(f0, f1, (0, 1, 9), (0, 1, 2), 0.0, [0.0])
-
-
-class TestSetInterleavingShift:
     def test_identity_shifts_on_same_filtration(self):
         space = line_space([0, 1, 3])
         f = DegreeBifiltration(
@@ -385,6 +356,28 @@ class TestSetInterleavingShift:
         )
         assert report.ok
         assert report.worst().slack == 0.0
+
+    def test_scale_gap_fails_then_passes(self, degree_pair):
+        # an eps-interleaving is the shift check with eps_shift on both sides
+        f0, f1 = degree_pair
+        idm = (0, 1, 2)
+        rs = [0.0, 1.0, 2.0, 3.0]
+        tight = ForwardShift.eps_shift(0.0)
+        report = verify_set_interleaving_shift(f0, f1, idm, idm, tight, tight, rs)
+        assert not report.ok
+        assert report.worst().slack < 0.0
+        loose = ForwardShift.eps_shift(3.0)
+        assert verify_set_interleaving_shift(f0, f1, idm, idm, loose, loose, rs).ok
+
+    def test_map_validation(self, degree_pair):
+        f0, f1 = degree_pair
+        ident = ForwardShift.identity()
+        with pytest.raises(DimensionMismatch):
+            verify_set_interleaving_shift(f0, f1, (0, 1), (0, 1, 2), ident, ident, [0.0])
+        with pytest.raises(IndexOutOfRange):
+            verify_set_interleaving_shift(
+                f0, f1, (0, 1, 9), (0, 1, 2), ident, ident, [0.0]
+            )
 
     def test_unequal_universe_sizes(self):
         # regression: the cross conditions must evaluate the image simplex on
@@ -432,18 +425,6 @@ def _interleaving_pairs(rng):
 
 class TestInterleavingAgainstReference:
     @pytest.mark.parametrize("seed", range(4))
-    def test_eps(self, seed):
-        rng = random.Random(seed)
-        for f0, f1, ref0, ref1, pi1, pi0, rs in _interleaving_pairs(rng):
-            for eps in (0.0, rng.uniform(0.0, 0.3), 2.0):
-                dim_cap = rng.randint(0, 3)
-                got = verify_set_interleaving_eps(f0, f1, pi1, pi0, eps, rs, dim_cap)
-                want = set_interleaving_eps_reference(
-                    ref0, ref1, pi1, pi0, eps, rs, dim_cap
-                )
-                assert repr(got) == repr(want)
-
-    @pytest.mark.parametrize("seed", range(4))
     def test_shift(self, seed):
         rng = random.Random(50 + seed)
         for f0, f1, ref0, ref1, pi1, pi0, rs in _interleaving_pairs(rng):
@@ -452,6 +433,7 @@ class TestInterleavingAgainstReference:
                 (ForwardShift.doubling_shift(eps), ForwardShift.doubling_shift(eps)),
                 (ForwardShift.eps_shift(eps), ForwardShift.doubling_shift(eps / 2.0)),
                 (ForwardShift.identity(), ForwardShift.eps_shift(eps)),
+                (ForwardShift.eps_shift(eps), ForwardShift.eps_shift(eps)),
             ):
                 args = (pi1, pi0, alpha, beta, rs, rng.randint(1, 3))
                 got = verify_set_interleaving_shift(f0, f1, *args)
@@ -467,15 +449,16 @@ class TestInterleavingAgainstReference:
         ref = DegreeReference(f.dowker.matrix, f.measure.weights)
         rs = [0.0, 1.0, 2.0, 3.0, 4.0]
         pi = (1, 0, 3, 2)
-        got = verify_set_interleaving_eps(f, f, pi, pi, 0.0, rs)
-        assert repr(got) == repr(set_interleaving_eps_reference(ref, ref, pi, pi, 0.0, rs))
+        for eps in (0.0, 0.25):
+            shift = ForwardShift.eps_shift(eps)
+            got = verify_set_interleaving_shift(f, f, pi, pi, shift, shift, rs)
+            want = set_interleaving_shift_reference(ref, ref, pi, pi, shift, shift, rs)
+            assert repr(got) == repr(want)
         # the identity ties every cell at slack 0: the witness is the first
-        same = verify_set_interleaving_eps(f, f, (0, 1, 2, 3), (0, 1, 2, 3), 0.0, rs)
+        ident = ForwardShift.identity()
+        idm = (0, 1, 2, 3)
+        same = verify_set_interleaving_shift(f, f, idm, idm, ident, ident, rs)
         assert [c.witness for c in same.conditions] == [((0,), 0.0)] * 4
-        shift = ForwardShift.eps_shift(0.25)
-        got = verify_set_interleaving_shift(f, f, pi, pi, shift, shift, rs)
-        want = set_interleaving_shift_reference(ref, ref, pi, pi, shift, shift, rs)
-        assert repr(got) == repr(want)
 
     def test_table_bifiltration(self):
         f = TableBifiltration(
@@ -485,20 +468,23 @@ class TestInterleavingAgainstReference:
              (0, 1): (0.5, 1.0, 2.0)},
         )
         rs = [0.0, 0.5, 1.0, 2.0, math.inf]
-        got = verify_set_interleaving_eps(f, f, (1, 0, 2), (0, 0, 1), 0.5, rs)
-        want = set_interleaving_eps_reference(f, f, (1, 0, 2), (0, 0, 1), 0.5, rs)
-        assert repr(got) == repr(want)
+        shift = ForwardShift.eps_shift(0.5)
+        args = ((1, 0, 2), (0, 0, 1), shift, shift, rs)
+        got = verify_set_interleaving_shift(f, f, *args)
+        assert repr(got) == repr(set_interleaving_shift_reference(f, f, *args))
 
     def test_infinite_slack_has_no_witness(self):
         f = DegreeBifiltration(
             DowkerDissimilarity.from_metric(line_space([0, 1])),
             DiscreteMeasure.counting(2),
         )
-        report = verify_set_interleaving_eps(f, f, (0, 1), (0, 1), math.inf, [0.0, 1.0])
-        assert [c.slack for c in report.conditions] == [math.inf] * 4
-        assert [c.witness for c in report.conditions] == [None] * 4
-        empty = verify_set_interleaving_eps(f, f, (0, 1), (0, 1), 0.0, [])
-        assert [(c.slack, c.witness) for c in empty.conditions] == [(math.inf, None)] * 4
+        # an infinite shift, and the empty grid
+        for shift, rs in ((ForwardShift.eps_shift(math.inf), [0.0, 1.0]),
+                          (ForwardShift.identity(), [])):
+            args = ((0, 1), (0, 1), shift, shift, rs)
+            report = verify_set_interleaving_shift(f, f, *args)
+            assert [(c.slack, c.witness) for c in report.conditions] == [(math.inf, None)] * 4
+            assert repr(report) == repr(set_interleaving_shift_reference(f, f, *args))
 
     def test_each_shift_is_called_once_per_cell(self):
         f0 = DegreeBifiltration(
@@ -521,61 +507,6 @@ class TestInterleavingAgainstReference:
         cells0, cells1 = 7 * len(rs), 3 * len(rs)
         # a composite shift calls count twice
         assert len(calls) == cells1 + cells0 + 2 * cells1 + 2 * cells0
-
-
-class TestComplexInterleaving:
-    @pytest.fixture
-    def l3_complex(self):
-        return intrinsic_dc(line_space([0, 1, 3]), DiscreteMeasure.counting(3))
-
-    def test_identity(self, l3_complex):
-        K = l3_complex
-        ident = ForwardShift.identity()
-        report = verify_complex_interleaving(
-            K, K, (0, 1, 2), (0, 1, 2), ident, ident, [1.0, 2.0, 3.0], [0.0, 1.0, 2.0]
-        )
-        assert report.ok
-        assert report.worst().slack == 0.0
-
-    def test_halved_radius_family(self, l3_complex):
-        K = l3_complex
-        H = measure_dowker_reindex(K)
-        report = verify_complex_interleaving(
-            K,
-            H,
-            (0, 1, 2),
-            (0, 1, 2),
-            ForwardShift.identity(),
-            ForwardShift.doubling_shift(0.0),
-            [1.0, 2.0, 3.0],
-            [0.0, 0.5, 1.0, 1.5, 2.0],
-        )
-        assert report.ok
-
-    def test_contiguity_note_on_union_failure(self):
-        from dcech import BifilteredComplex, Staircase
-
-        stair = Staircase(((0.0, 1.0),))
-        K0 = BifilteredComplex((0, 1), {(0,): stair, (1,): stair})
-        K1 = BifilteredComplex((0,), {(0,): stair})
-        ident = ForwardShift.identity()
-        report = verify_complex_interleaving(
-            K0, K1, (0, 0), (0,), ident, ident, [1.0], [0.0]
-        )
-        assert not report.ok
-        assert report.conditions[0].slack >= 0.0
-        assert report.conditions[1].slack >= 0.0
-        assert "contiguity" in report.note
-
-    def test_map_validation(self, l3_complex):
-        K = l3_complex
-        ident = ForwardShift.identity()
-        with pytest.raises(DimensionMismatch):
-            verify_complex_interleaving(K, K, (0, 1), (0, 1, 2), ident, ident, [1], [0])
-        with pytest.raises(IndexOutOfRange):
-            verify_complex_interleaving(
-                K, K, (0, 1, 9), (0, 1, 2), ident, ident, [1], [0]
-            )
 
 
 class TestVerifySandwich:
@@ -605,7 +536,9 @@ class TestVerifySandwich:
 
     def test_reindexed_violates(self, square_pair):
         intr, _ = square_pair
-        early = measure_dowker_reindex(intr)
+        halved = {s: Staircase(tuple((r * 0.5, m) for r, m in st.steps))
+                  for s, st in intr.entries.items()}
+        early = BifilteredComplex(intr.universe, halved, intr.dim_cap)
         report = verify_sandwich(early, intr)
         assert not report.ok
         assert report.conditions[0].slack < 0.0

@@ -168,8 +168,8 @@ class TestOneRoundingPath:
         f = DegreeBifiltration(DowkerDissimilarity.from_metric(space), mu)
         whole = [(0,), (0, 9)]
         values = {
-            "planar": [planar.entries[s].max_value for s in whole],
-            "ambient-finite": [finite.entries[s].max_value for s in whole],
+            "planar": [planar.entries[s].steps[-1][1] for s in whole],
+            "ambient-finite": [finite.entries[s].steps[-1][1] for s in whole],
             "table": f.table(whole, [1.0])[:, 0].tolist(),
             "measure": [mu.total, mu.mass(range(10))],
         }
