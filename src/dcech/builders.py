@@ -82,6 +82,17 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def _row_masks(matrix: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a bitmask: bit j is set when row[j] is."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [
+        int.from_bytes(data[i * width : (i + 1) * width], "little")
+        for i in range(len(packed))
+    ]
+
+
 def _mask_nerve(masks: Sequence[int], max_size: int) -> frozenset[Simplex]:
     """The index tuples of at most max_size masks whose AND is nonzero.
 
@@ -134,7 +145,8 @@ class DowkerDissimilarity:
             raise DimensionMismatch("dissimilarity entries must be in [0, inf]")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        finite = sorted(set(float(v) for v in m.ravel() if math.isfinite(v)))
+        # a set keeps the first of equal entries: of -0.0 and 0.0, the first in row order
+        finite = sorted(set(m[np.isfinite(m)].tolist()))
         object.__setattr__(self, "_levels", tuple(finite))
         padded = np.vstack((m, np.full((1, m.shape[1]), -math.inf)))
         object.__setattr__(self, "_padded", padded)
@@ -470,12 +482,20 @@ def dowker_dual(
             offer = np.where(enter[:, None, :] <= rs[:, None], values, -np.inf)
             # argmax takes the first witness among equal offers (-0.0 and 0.0)
             best = np.take_along_axis(offer, offer.argmax(2)[..., None], 2)[..., 0]
+            if (best[:, 1:] < best[:, :-1]).any():  # so the corners rise strictly
+                raise MonotonicityError("witness values decrease along r")
             rises = best[:, 1:] > best[:, :-1]
             corner = np.concatenate((best[:, :1] > -np.inf, rises), axis=1)
-            for tau, row, at in zip(tau_block.tolist(), best, corner):
-                if at.any():
-                    steps = zip(rs[at].tolist(), row[at].tolist())
-                    entries[tuple(ids[i] for i in tau)] = Staircase(tuple(steps))
+            # the corners of all simplices in one row-major list, cut per simplex
+            at_tau, at_r = np.nonzero(corner)
+            steps = list(zip(rs[at_r].tolist(), best[at_tau, at_r].tolist()))
+            counts = np.bincount(at_tau, minlength=len(tau_block)).tolist()
+            lo = 0
+            for tau, count in zip(tau_block.tolist(), counts):
+                if count:
+                    stair = Staircase._trusted(tuple(steps[lo : lo + count]))
+                    entries[tuple(ids[i] for i in tau)] = stair
+                    lo += count
     return BifilteredComplex(ids, entries, dim_cap)
 
 
@@ -547,7 +567,7 @@ def rectangle_complex(
     x_ok = {1 << x for x in heavy} | {_mask_of(s) for s, ok in zip(subsets, passed) if ok}
     related = dowker._related(r)
     # witnesses[y]: a bitmask over heavy of the witnesses whose ball holds y
-    witnesses = [_mask_of(np.flatnonzero(col).tolist()) for col in related[heavy].T]
+    witnesses = _row_masks(related[heavy].T)
     # the pairs that are vertices, as (vertex id, X mask, witness mask)
     cells = [
         (x * ny + y, 1 << x, witnesses[y])
@@ -604,9 +624,8 @@ def cover_nerve(
     when the common ball of tau still meets the dense region.
     """
     inside, mass = _balls(space, measure, r)
-    dense = _mask_of(np.flatnonzero(mass >= m).tolist())
     # each ball's part of the dense region, as a bitmask over the points
-    masks = [_mask_of(np.flatnonzero(row).tolist()) & dense for row in inside]
+    masks = _row_masks(inside & (mass >= m))
     simplices = _mask_nerve(masks, dim_cap + 1)
     return SimplicialComplex._trusted(tuple(range(space.n)), simplices)
 

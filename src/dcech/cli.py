@@ -16,6 +16,7 @@ All outputs are deterministic for a fixed seed and config.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -273,6 +274,7 @@ class _Parser(argparse.ArgumentParser):
         raise DcechError(message)
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dcech",

@@ -357,6 +357,14 @@ class Staircase:
         object.__setattr__(self, "steps", st)
 
     @classmethod
+    def _trusted(cls, steps: tuple[tuple[float, float], ...]) -> "Staircase":
+        """A staircase from float steps that a builder made rise strictly in
+        both coordinates by construction; nothing is checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "steps", steps)
+        return out
+
+    @classmethod
     def from_samples(
         cls, rs: Sequence[float], values: Sequence[float | None]
     ) -> "Staircase | None":
@@ -505,7 +513,9 @@ class ForwardShift:
 
     The two stock shifts are the plain epsilon shift (m - eps, r + eps) and
     the doubling shift (m - eps, 2 (r + eps)) used by the nearest-neighbor
-    interleavings; :meth:`then` composes two shifts.
+    interleavings; :meth:`then` composes two shifts. ``apply`` acts
+    elementwise: given arrays of m and r that broadcast together, it returns
+    the two arrays (or scalars) of float results it would give cell by cell.
     """
 
     name: str
@@ -513,13 +523,13 @@ class ForwardShift:
 
     @classmethod
     def eps_shift(cls, eps: float) -> "ForwardShift":
-        if eps < 0:
+        if not eps >= 0:  # a nan shift would pass every condition
             raise NonMonotonePath(f"shift amount must be >= 0, got {eps}")
         return cls(f"eps_shift({eps!r})", lambda m, r: (m - eps, r + eps))
 
     @classmethod
     def doubling_shift(cls, eps: float) -> "ForwardShift":
-        if eps < 0:
+        if not eps >= 0:  # a nan shift would pass every condition
             raise NonMonotonePath(f"shift amount must be >= 0, got {eps}")
         return cls(f"doubling_shift({eps!r})", lambda m, r: (m - eps, 2.0 * (r + eps)))
 

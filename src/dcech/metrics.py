@@ -391,7 +391,7 @@ def _worst(
 
 def _shifted(
     label: str,
-    values: list[list[float]],
+    values: np.ndarray,
     f_dst: SetBifiltration,
     shift: ForwardShift,
     sigmas: list[Simplex],
@@ -399,10 +399,15 @@ def _shifted(
     rs: list[float],
 ) -> ConditionSlack:
     """The shift moves the source value at each (sigma, r) to a point
-    (m2, r2); the condition asks f_dst(image of sigma, r2) >= m2."""
-    moved = [[shift(v, r) for v, r in zip(row, rs)] for row in values]
-    target = np.array(moved, dtype=float).reshape(len(sigmas), len(rs), 2)
-    lhs, r2 = target[..., 0], target[..., 1]
+    (m2, r2); the condition asks f_dst(image of sigma, r2) >= m2.
+
+    The shift is applied once to the whole table, elementwise; its results
+    are broadcast, never recomputed, so a -0.0 stays -0.0.
+    """
+    with np.errstate(all="ignore"):  # inf - inf is nan, as in float arithmetic
+        m2, r2 = shift(values, np.array(rs, dtype=float))
+    lhs = np.broadcast_to(np.asarray(m2, dtype=float), values.shape)
+    r2 = np.broadcast_to(np.asarray(r2, dtype=float), values.shape)
     return _worst(label, sigmas, rs, lhs, f_dst.table(images, r2))
 
 
@@ -432,8 +437,8 @@ def verify_set_interleaving_shift(
     sig1 = list(_simplices(n1, dim_cap))
     ab = alpha.then(beta)  # alpha first, for the f1-side union condition
     ba = beta.then(alpha)
-    v0 = f0.table(sig0, rs).tolist()
-    v1 = f1.table(sig1, rs).tolist()
+    v0 = f0.table(sig0, rs)
+    v1 = f1.table(sig1, rs)
     conds = (
         _shifted(
             "shifted value under pi0",

@@ -636,6 +636,17 @@ def _condition(label, sigmas, rs, lhs, rhs) -> ConditionSlack:
     return ConditionSlack(label, slack, witness)
 
 
+def shifted_reference(label, values, f_dst, shift, sigmas, images, rs) -> ConditionSlack:
+    """One shifted condition cell by cell: a scalar shift call and one
+    f_dst.value per (sigma, r), keeping the first least slack."""
+    cells = {}
+    for i, row in enumerate(values.tolist()):
+        for v, r in zip(row, rs):
+            m2, r2 = shift(v, r)
+            cells[sigmas[i], r] = (m2, f_dst.value(images[i], r2))
+    return _condition(label, sigmas, rs, lambda s, r: cells[s, r][0], lambda s, r: cells[s, r][1])
+
+
 def set_interleaving_shift_reference(f0, f1, pi1, pi0, alpha, beta, r_grid, dim_cap=3):
     rs = sorted(set(float(r) for r in r_grid))
     sig0 = list(_simplices(f0.universe_size, dim_cap))

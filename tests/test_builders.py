@@ -30,6 +30,7 @@ from dcech import (
     IndexOutOfRange,
     MonotonicityError,
     NonPositiveP,
+    SetBifiltration,
     SimplicialComplex,
     Staircase,
     TableBifiltration,
@@ -44,6 +45,7 @@ from dcech import (
     rectangle_complex,
     restrict_to_support,
 )
+from dcech.builders import _mask_of, _row_masks
 from dcech.instances import (
     random_dowker,
     random_measure,
@@ -118,6 +120,15 @@ class TestDowkerDissimilarity:
             DowkerDissimilarity(np.array([[0.0, -1.0]]))
         with pytest.raises(DimensionMismatch):
             DowkerDissimilarity(np.array([[0.0, math.nan]]))
+
+    def test_levels_keep_the_first_signed_zero(self):
+        # the loop over entries in row order that the levels replaced
+        for rows in ([[-0.0, 1.0], [0.0, math.inf]], [[0.0, 2.0], [-0.0, 1.0]]):
+            for matrix in (np.array(rows), np.asfortranarray(rows), np.array(rows).T):
+                want = sorted(set(float(v) for v in matrix.ravel() if math.isfinite(v)))
+                got = DowkerDissimilarity(matrix).r_values()
+                assert repr(got) == repr(tuple(want))
+        assert repr(DowkerDissimilarity(np.array([[-0.0, 0.0]])).r_values()) == "(-0.0,)"
 
     def test_matrix_is_read_only(self):
         d = DowkerDissimilarity(np.array([[0.0, 1.0]]))
@@ -341,6 +352,21 @@ class TestDowkerDual:
         with pytest.raises(DimensionMismatch):
             dowker_dual(dowker, f, y_ids=(5,))
 
+    @pytest.mark.parametrize("values", [(1.0, 3.0, 2.0, 2.0), (1.0, 3.0, 2.0, 2.5)])
+    def test_decreasing_witness_values_are_rejected(self, values):
+        # f breaks its contract; the dual must not build a staircase from it
+        class Dropping(SetBifiltration):
+            universe_size = 1
+
+            def table(self, sigmas, rs):
+                return np.array([[values[int(r)] for r in rs] for _ in sigmas])
+
+            def r_breakpoints(self):
+                return (0.0, 1.0, 2.0, 3.0)
+
+        with pytest.raises(MonotonicityError):
+            dowker_dual(DowkerDissimilarity(np.array([[0.0]])), Dropping(), 1)
+
     def test_universe_mismatch(self, l3_counting):
         dowker, _ = l3_counting
         other = DegreeBifiltration(
@@ -391,6 +417,16 @@ class TestDowkerDualAgainstReference:
             assert list(got.entries) == list(want.entries)
             for sigma, stair in want.entries.items():
                 assert repr(got.entries[sigma]) == repr(stair), sigma
+
+
+    def test_staircases_pass_the_validating_constructor(self):
+        # the dual assembles its staircases unchecked; rebuild each one
+        rng = random.Random(7)
+        for dowker, f in _dual_instances(rng):
+            dual = dowker_dual(dowker, f, rng.randint(1, 3))
+            for sigma, stair in dual.entries.items():
+                assert all(type(v) is float for step in stair.steps for v in step)
+                assert repr(Staircase(stair.steps)) == repr(stair), sigma
 
 
 def _table_instances(rng):
@@ -740,6 +776,16 @@ class TestMeasurePointsAndCoverNerve:
         for m, r in [(1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 2.0), (3.0, 3.0)]:
             nerve = cover_nerve(l3, mu, m, r)
             assert nerve.simplices == A.complex_at(m, r).simplices, (m, r)
+
+
+class TestRowMasks:
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (5, 8), (7, 63), (6, 64), (9, 130)])
+    def test_each_row_is_the_mask_of_its_true_columns(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        matrix = rng.random(shape) < 0.4
+        for rows in (matrix, matrix.T, matrix[::-1, ::2]):
+            want = [_mask_of(np.flatnonzero(row).tolist()) for row in rows]
+            assert _row_masks(rows) == want
 
 
 class TestCoverNerveIsDownwardClosed:

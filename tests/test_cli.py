@@ -12,6 +12,8 @@ import io
 import math
 import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -24,7 +26,8 @@ from dcech import (
     intrinsic_dc,
     write_staircase_table,
 )
-from dcech.cli import main
+import dcech
+from dcech.cli import build_parser, main
 
 L3_POINTS = "x,y\n0,0\n1,0\n3,0\n"
 L3_MATRIX = "d1,d2,d3\n0,1,3\n1,0,2\n3,2,0\n"
@@ -555,6 +558,34 @@ class TestUsage:
         )
         assert code == 0
         assert os.path.exists(nested / "staircases.txt")
+
+
+class TestOneParser:
+    """main reuses one parser; each call prints what a fresh process prints."""
+
+    CALLS = (
+        ["slice", "--input", "points.csv", "--r-grid", "-1,2", "m=1"],
+        ["verify", "lemma75", "--seed", "1", "--trials", "2"],
+        ["verify", "nosuch"],
+        ["verify", "--help"],
+    )
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # the --help text wraps at this width
+        in_process = [run_quiet(argv) for argv in self.CALLS]
+        assert build_parser() is build_parser()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dcech.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = "import sys; from dcech.cli import main; sys.exit(main(sys.argv[1:]))"
+        for argv, got in zip(self.CALLS, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+            )
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes = [code for code, _, _ in in_process]
+        assert codes == [2, 0, 2, 0]
 
 
 NUMBER_TEXTS = st.one_of(

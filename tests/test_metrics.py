@@ -25,6 +25,7 @@ from dcech import (
     FiniteMetricSpace,
     ForwardShift,
     IndexOutOfRange,
+    NonMonotonePath,
     NotDistancePreserving,
     Staircase,
     TableBifiltration,
@@ -40,10 +41,12 @@ from dcech import (
 )
 from dcech import ambient_dc_planar
 from dcech.instances import random_measure, random_metric_space
+from dcech.metrics import _shifted
 from .oracles import (
     DegreeReference,
     prohorov_brute,
     set_interleaving_shift_reference,
+    shifted_reference,
     prohorov_check_enumerated,
     prohorov_distance_enumerated,
 )
@@ -486,7 +489,7 @@ class TestInterleavingAgainstReference:
             assert [(c.slack, c.witness) for c in report.conditions] == [(math.inf, None)] * 4
             assert repr(report) == repr(set_interleaving_shift_reference(f, f, *args))
 
-    def test_each_shift_is_called_once_per_cell(self):
+    def test_each_shift_is_called_once_per_condition(self):
         f0 = DegreeBifiltration(
             DowkerDissimilarity.from_metric(line_space([0, 1, 3])),
             DiscreteMeasure.counting(3),
@@ -498,15 +501,72 @@ class TestInterleavingAgainstReference:
         calls = []
 
         def count(m, r):
-            calls.append((m, r))
+            calls.append(np.shape(m))
             return m - 0.5, r + 0.5
 
         shift = ForwardShift("counted", count)
         rs = [0.0, 1.0, 2.0, 3.0]
         verify_set_interleaving_shift(f0, f1, (0, 1, 1), (0, 2), shift, shift, rs)
-        cells0, cells1 = 7 * len(rs), 3 * len(rs)
-        # a composite shift calls count twice
-        assert len(calls) == cells1 + cells0 + 2 * cells1 + 2 * cells0
+        # one call on each side's whole table; a composite shift calls count twice
+        side0, side1 = (7, len(rs)), (3, len(rs))
+        assert calls == [side1, side0, side1, side1, side0, side0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_whole_table_shift_is_the_shift_of_each_cell(self, seed):
+        rng = random.Random(90 + seed)
+        # signed zeros, infinities and ties in the source and target values
+        grid = (0.0, 0.5, 1.0, 2.0)
+        choices = (-0.0, 0.0, 0.5, 1.0, 2.0, math.inf)
+        tables = [
+            TableBifiltration(3, grid, {
+                (x,): sorted(rng.choice(choices) for _ in grid) for x in range(3)
+            })
+            for _ in range(2)
+        ]
+        sigmas = [(0,), (1,), (2,)]
+        rs = [-0.0, 0.0, 0.5, 1.0, 2.0, math.inf]
+        eps = rng.uniform(0.0, 0.5)
+        shifts = (
+            ForwardShift.identity(),
+            ForwardShift.eps_shift(0.0),
+            ForwardShift.eps_shift(eps),
+            ForwardShift.eps_shift(math.inf),
+            ForwardShift.doubling_shift(eps),
+            ForwardShift.eps_shift(eps).then(ForwardShift.doubling_shift(eps)),
+        )
+        for src, dst in (tables, tables[::-1], tables[:1] * 2):
+            values = src.table(sigmas, rs)
+            for shift in shifts:
+                images = [(rng.randrange(3),) for _ in sigmas]
+                got = _shifted("c", values, dst, shift, sigmas, images, rs)
+                want = shifted_reference("c", values, dst, shift, sigmas, images, rs)
+                assert repr(got) == repr(want)
+
+    def test_signed_zero_slack_is_not_rounded(self):
+        # -0.0 shifted by the identity against -0.0 leaves slack 0.0; a shifted
+        # value rebuilt as -0.0 + 0.0 would read -0.0 - 0.0 = -0.0 instead
+        f = TableBifiltration(1, (0.0, 1.0), {(0,): (-0.0, 1.0)})
+        got = _shifted("c", f.table([(0,)], [0.0]), f, ForwardShift.identity(),
+                       [(0,)], [(0,)], [0.0])
+        assert repr(got.slack) == "0.0"
+
+    def test_nan_shift_is_rejected(self):
+        for make in (ForwardShift.eps_shift, ForwardShift.doubling_shift):
+            with pytest.raises(NonMonotonePath):
+                make(math.nan)
+        # a nan shift made every slack nan, which reads as a pass
+        f0 = DegreeBifiltration(
+            DowkerDissimilarity.from_metric(line_space([0, 1, 5])),
+            DiscreteMeasure.counting(3),
+        )
+        f1 = DegreeBifiltration(
+            DowkerDissimilarity.from_metric(line_space([0, 9])),
+            DiscreteMeasure.counting(2),
+        )
+        shift = ForwardShift.eps_shift(0.0)
+        rs = sorted({0.0, *f0.r_breakpoints(), *f1.r_breakpoints()})
+        report = verify_set_interleaving_shift(f0, f1, (0, 1, 1), (0, 2), shift, shift, rs)
+        assert not report.ok
 
 
 class TestVerifySandwich:

@@ -20,6 +20,7 @@ from dcech import (
     DowkerDissimilarity,
     FiniteMetricSpace,
     SimplicialComplex,
+    ambient_dc_finite,
     betti,
     dowker_dual,
     inclusion_induces_iso,
@@ -27,6 +28,8 @@ from dcech import (
     rectangle_betti,
     rectangle_complex,
 )
+import dcech.verify as verify_module
+from dcech.instances import random_metric_space
 from dcech.verify import (
     DEFAULT_TRIALS,
     MAX_REPORTED_FAILURES,
@@ -284,6 +287,96 @@ class TestRectangleBettiAgainstReference:
         for dowker, f, m, r, nf_at, dual_at, kept in wide[:cells]:
             want = wide_cover_complex_reference(dowker, f, m, r, kept, dual_at, 2)
             assert rectangle_betti(dowker, f, m, r, nf_at, dual_at, 2) == betti(want, 2)
+
+
+def _nerve_cells(seed: int, trials: int):
+    """Every grid cell of ``run_nerve(seed, trials)``, drawn in the suite's
+    rng order: (trial, space, measure, m, r, r index)."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = rng.randint(4, 8)
+        space = random_metric_space(rng, n)
+        mu = DiscreteMeasure(tuple(float(rng.randint(1, 3)) for _ in range(n)))
+        K = ambient_dc_finite(space, mu, 3)
+        ms = sorted({v for st in K.entries.values() for _, v in st.steps if v > 0.0})
+        rs = sorted({0.0, *(r for st in K.entries.values() for r, _ in st.steps)})
+        for j, r in enumerate(rs):
+            for m in ms:
+                yield trial, space, mu, m, r, j
+
+
+def _cover(space, mu, m, r) -> frozenset:
+    """The pairs (center, point) with the point in the center's closed
+    r-ball and in the dense region, by loops over the distances."""
+    n = space.n
+    mass = [sum(mu.weights[j] for j in range(n) if space.dist[c, j] <= r) for c in range(n)]
+    return frozenset(
+        (c, j) for c in range(n) for j in range(n) if space.dist[c, j] <= r and mass[j] >= m
+    )
+
+
+class TestNerveSuiteShortcut:
+    """run_nerve builds one cover nerve per distinct cover of a trial."""
+
+    def test_one_cover_nerve_per_distinct_cover(self, monkeypatch):
+        calls = []
+        real = verify_module.cover_nerve
+
+        def counted(space, mu, m, r, dim_cap=3):
+            calls.append(_cover(space, mu, m, r))
+            return real(space, mu, m, r, dim_cap)
+
+        monkeypatch.setattr(verify_module, "cover_nerve", counted)
+        for seed in (3, 4):
+            calls.clear()
+            result = run_nerve(seed, 3)
+            assert result.ok
+            covers = [(t, _cover(sp, mu, m, r)) for t, sp, mu, m, r, _ in _nerve_cells(seed, 3)]
+            assert result.note == f"{len(covers)} grid cells"
+            distinct = list(dict.fromkeys(covers))
+            assert calls == [cover for _, cover in distinct]
+            assert len(calls) < len(covers)
+
+    def test_count_on_fixed_seeds(self, monkeypatch):
+        calls = []
+        real = verify_module.cover_nerve
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify_module, "cover_nerve", counted)
+        cells = sum(int(run_nerve(s, 10).note.split()[0]) for s in range(1000, 1010))
+        assert (len(calls), cells) == (4386, 12287)
+
+    def test_a_wrong_nerve_fails_every_cell_of_its_cover(self, monkeypatch):
+        # drop the edge {0, 1} and its cofaces from every nerve built at one
+        # radius; each changed nerve must show at every cell with its cover,
+        # at that radius or another, and nowhere else
+        seed, r_index = 12, 7
+        cells = list(_nerve_cells(seed, 1))
+        r_star = next(r for *_, r, j in cells if j == r_index)
+        real = verify_module.cover_nerve
+        changed = set()
+
+        def mutant(space, mu, m, r, dim_cap=3):
+            nerve = real(space, mu, m, r, dim_cap)
+            if r != r_star:
+                return nerve
+            kept = frozenset(s for s in nerve.simplices if not {0, 1} <= set(s))
+            wrong = SimplicialComplex(nerve.universe, kept)
+            if betti(wrong, 2) != betti(nerve, 2):
+                changed.add(_cover(space, mu, m, r))
+            return wrong
+
+        monkeypatch.setattr(verify_module, "cover_nerve", mutant)
+        result = run_nerve(seed, 1)
+        want = [
+            f"(m={m}, r={r})" for _, sp, mu, m, r, _ in cells if _cover(sp, mu, m, r) in changed
+        ]
+        assert 1 < len(want) <= MAX_REPORTED_FAILURES
+        assert any(f"r={r_star})" not in w for w in want)  # a cover seen at two radii
+        assert [f.split(" at ")[-1] for f in result.failures] == want
 
 
 class TestSuiteVerdicts:
