@@ -322,7 +322,9 @@ class SimplicialComplex:
 
     def sorted_simplices(self) -> list[Simplex]:
         """Deterministic order: by dimension, then lexicographic."""
-        return sorted(self.simplices, key=lambda s: (len(s), s))
+        out = sorted(self.simplices)
+        out.sort(key=len)  # stable, so lexicographic within each dimension
+        return out
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         return self.simplices.issubset(other.simplices)

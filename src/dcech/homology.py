@@ -1,9 +1,10 @@
 """Mod-2 simplicial homology, slice persistence and bottleneck distance.
 
 Boundary matrices are reduced over GF(2) with columns packed into Python ints,
-which keeps the column XOR in C. Ranks determine Betti numbers; the same
-reduction with a filtration order yields persistence pairs. Everything is
-exact: no floating tolerance enters the algebra, only the input staircases.
+which keeps the column XOR in C. There is one reduction, of a filtration into
+persistence pairs; Betti numbers are its one-step case, the essential bars of
+a complex entered all at once. Everything is exact: no floating tolerance
+enters the algebra, only the input staircases.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,54 +36,19 @@ BettiVector = tuple[int, ...]
 Interval = tuple[float, float]
 
 
-def _gf2_rank(columns: Iterable[int]) -> int:
-    """Rank of a GF(2) matrix given as int-packed columns."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            p = col.bit_length() - 1
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = col
-                rank += 1
-                break
-            col ^= other
-    return rank
-
-
 def betti(complex_: SimplicialComplex, max_degree: int) -> BettiVector:
-    """Betti numbers over GF(2) in degrees 0..max_degree.
+    """Betti numbers over GF(2) in degrees 0..max_degree: the essential bars
+    of the one-step filtration that enters every simplex at 0.0.
 
-    Simplices of dimension max_degree + 1 are used for the upper boundary
-    rank; higher simplices are ignored. The caller is responsible for having
-    materialized the complex at least that far.
+    Simplices of dimension max_degree + 1 are used to kill cycles; higher
+    simplices are ignored. The caller is responsible for having materialized
+    the complex at least that far.
     """
     if max_degree < 0:
         raise UnsupportedDimension(f"max_degree must be >= 0, got {max_degree}")
-    by_dim: dict[int, list[Simplex]] = {}
-    for s in complex_.simplices:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    for k in by_dim:
-        by_dim[k].sort()
-    index: dict[Simplex, int] = {}
-    for k, simps in by_dim.items():
-        for i, s in enumerate(simps):
-            index[s] = i
-    ranks: dict[int, int] = {}
-    for k in range(1, max_degree + 2):
-        cols = []
-        for s in by_dim.get(k, ()):
-            mask = 0
-            for face in combinations(s, k):
-                mask |= 1 << index[face]
-            cols.append(mask)
-        ranks[k] = _gf2_rank(cols)
-    out = []
-    for k in range(max_degree + 1):
-        n_k = len(by_dim.get(k, ()))
-        out.append(n_k - ranks.get(k, 0) - ranks[k + 1])
-    return tuple(out)
+    ordered = [s for s in complex_.sorted_simplices() if len(s) <= max_degree + 2]
+    bars = _persistence_pairs(ordered, [0.0] * len(ordered), max_degree)
+    return tuple(len(bars.degree(k)) for k in range(max_degree + 1))
 
 
 @dataclass(frozen=True)
@@ -174,7 +140,7 @@ def betti_table(
             (j, len(simplices[i]), simplices[i])
             for i, j in zip(sims[keep].tolist(), at_step[keep].tolist())
         ]
-        bars = _persistence_pairs(entered, max_degree)
+        bars = _persistence_pairs(*_entry_order(entered), max_degree)
         ends = [
             ([b for b, _ in bars.degree(k)], sorted(d for _, d in bars.degree(k)))
             for k in range(max_degree + 1)
@@ -208,53 +174,75 @@ class Barcode:
         return tuple(sorted(self.intervals))
 
 
-def _persistence_pairs(
-    entered: list[tuple[float, int, Simplex]], max_degree: int
-) -> Barcode:
-    """Standard column reduction of (birth, size, simplex) triples.
-
-    Sorted, the triples put each face before its cofaces. Bars of length
-    zero are dropped; unpaired creators get death = inf, except one born at
-    inf, whose bar [inf, inf) is empty too.
-    """
+def _entry_order(
+    entered: list[tuple[float, int, Simplex]]
+) -> tuple[list[Simplex], list[float]]:
+    """The simplices and births of (birth, size, simplex) triples in
+    filtration order: sorted, the triples put each face before its cofaces,
+    and simplices of equal birth and size in lexicographic order."""
     entered.sort()
-    ordered = [s for _, _, s in entered]
-    births = [b for b, _, _ in entered]
-    index = {s: i for i, s in enumerate(ordered)}
-    low_to_col: dict[int, int] = {}
-    creators: set[int] = set()
-    destroyed: set[int] = set()
-    pair_of: dict[int, int] = {}
-    for j, s in enumerate(ordered):
-        col = 0
-        if len(s) > 1:
-            for face in combinations(s, len(s) - 1):
-                col |= 1 << index[face]
-        while col:
-            lw = col.bit_length() - 1
-            existing = low_to_col.get(lw)
-            if existing is None:
-                low_to_col[lw] = col
-                pair_of[lw] = j
-                destroyed.add(lw)
-                break
-            col ^= existing
-        else:
-            creators.add(j)
+    return [s for _, _, s in entered], [b for b, _, _ in entered]
+
+
+def _persistence_pairs(
+    ordered: Sequence[Simplex], births: Sequence[float], max_degree: int
+) -> Barcode:
+    """Standard column reduction of simplices in filtration order (see
+    _entry_order), simplex ordered[i] entering at births[i].
+
+    A column holds faces of one size only, so each face is indexed by its
+    rank among the simplices of its own size, and the columns of each size
+    reduce against each other alone. Sizes go from the top down, so a
+    simplex that a larger column's pivot already pairs is a creator whose
+    column is skipped (clearing: Chen & Kerber, "Persistent homology
+    computation with a twist", EuroCG 2011). Simplices above size
+    max_degree + 2 kill no class of a reported degree and are left out.
+    Bars of length zero are dropped; unpaired creators get death = inf,
+    except one born at inf, whose bar [inf, inf) is empty too.
+    """
+    top = max(max_degree + 2, 1)
+    layers = [([], []) for _ in range(top + 1)]  # (births, simplices) per size
+    index: dict[Simplex, int] = {}
+    for s, b in zip(ordered, births):
+        n = len(s)
+        if n <= top:
+            born, simps = layers[n]
+            if n < top:
+                index[s] = len(simps)
+            born.append(b)
+            simps.append(s)
+    face_rank = index.__getitem__
     bars: dict[int, list[Interval]] = {}
-    for low, j in pair_of.items():
-        deg = len(ordered[low]) - 1
-        if deg > max_degree:
-            continue
-        b, d = births[low], births[j]
-        if b < d:
-            bars.setdefault(deg, []).append((b, d))
-    for j in creators:
-        if j in destroyed or births[j] == math.inf:
-            continue
-        deg = len(ordered[j]) - 1
-        if deg <= max_degree:
-            bars.setdefault(deg, []).append((births[j], math.inf))
+    killer_birth: dict[int, float] = {}  # by rank among the simplices of size n
+    for n in range(top, 0, -1):
+        born, simps = layers[n]
+        out: list[Interval] = []
+        low_to_col: dict[int, int] = {}
+        face_killer_birth: dict[int, float] = {}
+        for j, s in enumerate(simps):
+            d = killer_birth.get(j)
+            if d is not None:
+                if born[j] < d:
+                    out.append((born[j], d))
+                continue
+            col = 0
+            if n > 1:
+                for i in map(face_rank, combinations(s, n - 1)):
+                    col |= 1 << i
+            while col:
+                lw = col.bit_length() - 1
+                existing = low_to_col.get(lw)
+                if existing is None:
+                    low_to_col[lw] = col
+                    face_killer_birth[lw] = born[j]
+                    break
+                col ^= existing
+            else:
+                if n < top and born[j] != math.inf:
+                    out.append((born[j], math.inf))
+        if out:
+            bars[n - 1] = out
+        killer_birth = face_killer_birth
     return Barcode({k: tuple(v) for k, v in bars.items()})
 
 
@@ -269,6 +257,8 @@ def slice_persistence(
     A simplex enters at the radius of its first corner that admits m. With
     r_grid, a nondecreasing sequence of radii, it enters at the first grid
     radius at or above that, and not at all when the grid ends below it.
+    A grid radius of +inf raises NonMonotonePath: a bar dying there would
+    read as [b, inf), the same as an essential class.
     """
     if max_degree is None:
         max_degree = max(K.dim_cap - 1, 0)
@@ -283,11 +273,15 @@ def slice_persistence(
         for a, b in zip(grid, grid[1:]):
             if b < a:
                 raise NonMonotonePath(f"r grid moved backwards: {a} then {b}")
+        if math.inf in grid:
+            raise NonMonotonePath(
+                "an r grid radius of inf would print a bar dying there as essential"
+            )
         snapped = [(i, bisect_left(grid, t)) for i, t in pairs]
         pairs = [(i, grid[j]) for i, j in snapped if j < len(grid)]
     simplices = corners.simplices
     entered = [(t, len(simplices[i]), simplices[i]) for i, t in pairs]
-    return _persistence_pairs(entered, max_degree)
+    return _persistence_pairs(*_entry_order(entered), max_degree)
 
 
 def diagonal_barcode(
@@ -304,7 +298,7 @@ def diagonal_barcode(
         for r_step, v_step in stair.steps:
             t = min(t, max(r_step - r0, m0 - v_step))
         items.append((max(t, 0.0), len(sigma), sigma))
-    return _persistence_pairs(items, max_degree)
+    return _persistence_pairs(*_entry_order(items), max_degree)
 
 
 def inclusion_induces_iso(
@@ -323,7 +317,7 @@ def inclusion_induces_iso(
         (0.0 if s in sub.simplices else 1.0, len(s), s)
         for s in full.sorted_simplices()
     ]
-    bars = _persistence_pairs(tagged, max_degree)
+    bars = _persistence_pairs(*_entry_order(tagged), max_degree)
     out = []
     for k in range(max_degree + 1):
         ok = True

@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's algorithms: enclosing balls come from
-a Welzl recursion instead of candidate enumeration, Betti numbers and
-inclusion verdicts from dense numpy elimination instead of int-packed
-columns, degree Cech nerves from subset enumeration over the raw
+a Welzl recursion instead of candidate enumeration, Betti numbers,
+persistent Betti numbers and inclusion verdicts from dense numpy elimination
+instead of int-packed columns, degree Cech nerves from subset enumeration over the raw
 dissimilarity matrix instead of cached ball masks, the Prohorov distance from a
 definition-level feasibility scan and, with its check, from enumerating every
 support subset instead of max-flows, and the bottleneck distance from exhaustive matchings, and the Dowker dual from a scan
@@ -59,7 +59,7 @@ from dcech import (
     TriangleViolation,
 )
 from dcech.core import Simplex
-from dcech.homology import _persistence_pairs
+from dcech.homology import _entry_order, _persistence_pairs
 
 Point = tuple[float, float]
 
@@ -235,37 +235,41 @@ def betti_dense(simplices, max_degree: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def persistent_betti_dense(
+    filtration, max_degree: int
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Persistent Betti numbers of nested complexes K_0 <= K_1 <= ..., each
+    a collection of simplices: for every pair of steps s <= t, per degree k,
+    dim Z_k(K_s) - dim(Z_k(K_s) & B_k(K_t)), the rank of the map that the
+    inclusion induces on GF(2) homology.
+
+    A boundary of K_t lies in Z_k(K_s) exactly when it lies in C_k(K_s),
+    that is when its rows outside K_s vanish, so the intersection has
+    dimension rank d_{k+1}(K_t) minus the rank of those rows.
+    """
+    sets = [set(map(tuple, K)) for K in filtration]
+    dims = [_by_dim(S) for S in sets]
+    ranks = [_boundary_ranks(by, max_degree + 1) for by in dims]
+    out: dict[tuple[int, int], list[int]] = {}
+    for t, by in enumerate(dims):
+        for k in range(max_degree + 1):
+            bot = by.get(k, [])
+            top = by.get(k + 1, [])
+            bound = _boundary(bot, top) if top else None
+            for s in range(t + 1):
+                cycles = len(dims[s].get(k, [])) - ranks[s].get(k, 0)
+                outside = [i for i, x in enumerate(bot) if x not in sets[s]]
+                escaped = _rank_mod2(bound[outside]) if top and outside else 0
+                out.setdefault((s, t), []).append(cycles - (ranks[t][k + 1] - escaped))
+    return {key: tuple(v) for key, v in out.items()}
+
+
 def inclusion_iso_dense(sub, full, max_degree: int) -> tuple[bool, ...]:
     """Per degree, whether the inclusion sub -> full is an isomorphism on
-    GF(2) homology; both arguments are collections of simplices.
-
-    The induced map sends Z_k(sub) onto a subspace of H_k(full) whose
-    dimension is dim Z_k(sub) - dim(B_k(full) & C_k(sub)). A boundary of full
-    lies in C_k(sub) exactly when its rows outside sub vanish, so that
-    intersection has dimension rank d_{k+1}(full) minus the rank of those
-    rows. The map is an isomorphism when its rank equals both Betti numbers.
-    """
-    sub_set = set(map(tuple, sub))
-    sub_dims = _by_dim(sub_set)
-    full_dims = _by_dim(full)
-    sub_ranks = _boundary_ranks(sub_dims, max_degree + 1)
-    full_ranks = _boundary_ranks(full_dims, max_degree + 1)
-    out = []
-    for k in range(max_degree + 1):
-        cycles = len(sub_dims.get(k, [])) - sub_ranks.get(k, 0)
-        beta_sub = cycles - sub_ranks[k + 1]
-        beta_full = (
-            len(full_dims.get(k, [])) - full_ranks.get(k, 0) - full_ranks[k + 1]
-        )
-        bot = full_dims.get(k, [])
-        top = full_dims.get(k + 1, [])
-        outside = [i for i, s in enumerate(bot) if s not in sub_set]
-        escaped = 0
-        if top and outside:
-            escaped = _rank_mod2(_boundary(bot, top)[outside])
-        image = cycles - (full_ranks[k + 1] - escaped)
-        out.append(image == beta_sub == beta_full)
-    return tuple(out)
+    GF(2) homology (both are collections of simplices): the rank of the
+    induced map equals both Betti numbers."""
+    ranks = persistent_betti_dense([sub, full], max_degree)
+    return tuple(i == a == b for i, a, b in zip(ranks[0, 1], ranks[0, 0], ranks[1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +1019,7 @@ def slice_persistence_sampled(
         max_degree = max(K.dim_cap - 1, 0)
     ms, rs = zip(*path.points)
     entered = [(path.times[i], len(s), s) for i, s in _entry_steps(K, ms, rs)]
-    return _persistence_pairs(entered, max_degree)
+    return _persistence_pairs(*_entry_order(entered), max_degree)
 
 
 def constant_m_sampled(

@@ -351,10 +351,28 @@ class TestBadInput:
         assert (code, stdout, stderr) == (0, "pass: eps inf slack inf witness []\n", "")
 
     def test_infinite_parameters_stay_accepted(self, capsys, points_csv):
-        for argv in (["m=-inf"], ["m=1", "--r-grid", "0,1,inf"], ["diag inf,0"]):
+        for argv in (["m=-inf"], ["m=inf"], ["m=1", "--r-grid=-inf,1"], ["diag inf,0"]):
             code, stdout, stderr = run(capsys, ["slice", "--input", points_csv] + argv)
             assert (code, stderr) == (0, "")
             assert stdout.startswith("H0:")
+
+    def test_infinite_slice_grid_radius_is_rejected(self, capsys, points_csv):
+        # a bar dying at r = inf would print as [b,inf), like an essential one
+        for grid in ("0,1,inf", "0.5,inf"):
+            argv = ["slice", "--input", points_csv, "m=1", f"--r-grid={grid}"]
+            code, stdout, stderr = run(capsys, argv)
+            assert (code, stdout) == (2, "")
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert "inf" in stderr
+
+    def test_hilbert_keeps_infinite_columns(self, tmp_path, capsys, points_csv):
+        out = tmp_path / "h"
+        argv = ["hilbert", "--input", points_csv, "--m-grid", "1",
+                "--r-grid=0.5,inf", "--out", str(out)]
+        assert run(capsys, argv)[0] == 0
+        assert (out / "betti.csv").read_text().splitlines()[1:] == [
+            "1.0,0.5,3,0,0", "1.0,inf,1,0,0"
+        ]
 
 
 class TestVerify:

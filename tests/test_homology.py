@@ -40,6 +40,8 @@ from .oracles import (
     bottleneck_brute,
     closure_of,
     constant_m_sampled,
+    inclusion_iso_dense,
+    persistent_betti_dense,
     slice_persistence_sampled,
 )
 
@@ -149,7 +151,8 @@ SEEDED = seeded_complexes()
 
 class TestBettiTableCells:
     """betti_table reduces once per m-row; each cell must still equal the
-    Betti vector of the slice at that cell."""
+    Betti vector of the slice at that cell, by the library and by dense
+    elimination."""
 
     @pytest.mark.parametrize("K", SEEDED)
     def test_matches_each_slice(self, K):
@@ -166,13 +169,17 @@ class TestBettiTableCells:
             (explicit_m, sorted(explicit_r) + [rs[1]], 2),
         ):
             table = betti_table(K, m_grid, r_grid, d)
+            dense = {}
             want_m = grid_with_midpoints(ms) if m_grid is None else m_grid
             want_r = grid_with_midpoints(rs) if r_grid is None else r_grid
             assert table.m_grid == tuple(want_m)
             assert table.r_grid == tuple(want_r)
             for i, m in enumerate(want_m):
                 for j, r in enumerate(want_r):
-                    assert table.at(i, j) == betti(K.complex_at(m, r), d), (m, r)
+                    cell = K.complex_at(m, r)
+                    if cell.simplices not in dense:
+                        dense[cell.simplices] = betti_dense(cell.simplices, d)
+                    assert table.at(i, j) == betti(cell, d) == dense[cell.simplices], (m, r)
 
     def test_negative_degree_only_with_cells(self):
         K = SEEDED[0]
@@ -231,6 +238,12 @@ class TestSlicePersistence:
             slice_persistence(K, 1.0, [2.0, 1.0])
         with pytest.raises(NonMonotonePath):
             slice_persistence(K, 1.0, [])
+        # a bar dying at an inf grid radius would read as essential
+        for K in (SEEDED[0], HAND_BUILT[0]):
+            rs, _ = K.critical_grid()
+            for grid in ([math.inf], list(rs) + [math.inf]):
+                with pytest.raises(NonMonotonePath, match="inf"):
+                    slice_persistence(K, 1.0, grid)
 
 
 def midpoints(values):
@@ -314,12 +327,11 @@ class TestSliceKernelMatchesSampledWalk:
     def test_constant_m(self, K):
         rs, ms = K.critical_grid()
         masses = list(ms) + midpoints(ms) + [-math.inf, math.inf, math.nan]
-        grids = [None, [0.0], [-math.inf], [math.inf]]
+        grids = [None, [0.0], [-math.inf]]
         if rs:
             finite = [r for r in rs if math.isfinite(r)]
             grids += [
-                midpoints(rs),
-                list(rs) + [math.inf],
+                [r for r in midpoints(rs) if r != math.inf],
                 list(rs[: len(rs) // 2]),
                 [rs[len(rs) // 2]],
                 midpoints(finite)[len(finite) // 2 :],
@@ -395,6 +407,59 @@ class TestInclusionInducesIso:
     def test_rejects_non_inclusion(self):
         with pytest.raises(NotAnInclusion):
             inclusion_induces_iso(closure_of([(0, 1)]), closure_of([(0,), (1,)]), 1)
+
+
+def bars_across(bars, k: int, s: float, t: float) -> int:
+    """Number of k-bars [b, d) born by step s and alive past step t."""
+    return sum(1 for b, d in bars.degree(k) if b <= s and d > t)
+
+
+class TestPersistentBettiOracle:
+    """Bars against dense persistent Betti numbers, which share nothing with
+    the column reduction: at every pair of steps s <= t, the k-bars born by s
+    and alive past t number dim Z_k(K_s) - dim(Z_k(K_s) & B_k(K_t))."""
+
+    @pytest.mark.parametrize("K", SEEDED + HAND_BUILT)
+    def test_constant_m_slices(self, K):
+        rs, ms = K.critical_grid()
+        d = max(K.dim_cap - 1, 0)
+        for m in [-math.inf, *ms]:
+            bars = slice_persistence(K, m, None, d)
+            # the finite radii where the slice changes: no bar ends elsewhere
+            steps, at = [], []
+            for r in filter(math.isfinite, rs):
+                cell = K.complex_at(m, r).simplices
+                if not at or cell != at[-1]:
+                    steps.append(r)
+                    at.append(cell)
+            want = persistent_betti_dense(at, d)
+            for i, s in enumerate(steps):
+                for j in range(i, len(steps)):
+                    got = tuple(bars_across(bars, k, s, steps[j]) for k in range(d + 1))
+                    assert got == want[i, j], (m, s, steps[j])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_step_inclusions(self, seed):
+        # inclusion_induces_iso's filtration: sub at step 0, the rest at 1
+        rng = random.Random(seed)
+        verts = range(rng.randint(4, 7))
+        tops = [rng.sample(verts, rng.randint(1, 3)) for _ in range(rng.randint(2, 9))]
+        full = closure_of(tops)
+        sub = closure_of(rng.sample(tops, rng.randint(1, len(tops))))
+        K = BifilteredComplex(
+            full.universe,
+            {s: Staircase(((0.0 if s in sub.simplices else 1.0, 1.0),)) for s in full.simplices},
+            2,
+        )
+        K.validate()
+        bars = slice_persistence(K, 1.0, None, 1)
+        want = persistent_betti_dense([sub.simplices, full.simplices], 1)
+        for s, t in want:
+            got = tuple(bars_across(bars, k, float(s), float(t)) for k in range(2))
+            assert got == want[s, t], (tops, s, t)
+        assert inclusion_induces_iso(sub, full, 1) == inclusion_iso_dense(
+            sub.simplices, full.simplices, 1
+        )
 
 
 class TestBottleneck:
